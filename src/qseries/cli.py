@@ -7,10 +7,11 @@ Three subcommands:
 * ``scan``    tabulate a bipartition family along an arithmetic
   progression modulo m.
 
-Exit codes are stable: 0 success, 1 verification failures, 2 expression
-parse/evaluation error, 3 unknown registry filter, 4 scan budget
-exceeded.  The environment variable QSERIES_DEFAULT_ORDER overrides the
-built-in default order of 500.
+Exit codes are stable: 0 success, 1 verification failures, 2 bad input
+(an out-of-range option or an expression parse/evaluation error), 3
+unknown registry filter, 4 scan budget exceeded.  The environment
+variable QSERIES_DEFAULT_ORDER overrides the built-in default order of
+500; a value that is not a positive integer is ignored with a warning.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import family_series, run_item, select_items
+from .verify import family_series, plan_family_orders, run_item, select_items
 
 # A scan needs the family series out to step*count + offset coefficients;
 # beyond this cap the dense table stops being a reasonable in-memory object.
@@ -30,7 +31,7 @@ SCAN_ORDER_CAP = 2_000_000
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
-EXIT_EXPR_ERROR = 2
+EXIT_BAD_INPUT = 2
 EXIT_UNKNOWN_FILTER = 3
 EXIT_SCAN_BUDGET = 4
 
@@ -42,8 +43,20 @@ def default_order() -> int:
     try:
         value = int(raw)
     except ValueError:
+        value = 0
+    if value < 1:
+        print(f"warning: ignoring QSERIES_DEFAULT_ORDER={raw!r}, not a "
+              "positive integer; using 500", file=sys.stderr)
         return 500
-    return value if value >= 1 else 500
+    return value
+
+
+def _bad_option(flag: str, value: int | None, least: int) -> bool:
+    """Report an option below its least allowed value on stderr."""
+    if value is None or value >= least:
+        return False
+    print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+    return True
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -89,16 +102,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_expand(args: argparse.Namespace) -> int:
+    # --mod 0 means the exact ring, as when the option is left out
+    if _bad_option("--order", args.order, 1) or (
+            args.mod != 0 and _bad_option("--mod", args.mod, 2)):
+        return EXIT_BAD_INPUT
     order = args.order if args.order is not None else default_order()
-    if order < 1:
-        print("error: order must be positive", file=sys.stderr)
-        return EXIT_EXPR_ERROR
     ring = mod_ring(args.mod) if args.mod else EXACT
     try:
         series = evaluate(parse_expr(args.expr), EvalContext(order, ring))
     except (QSyntaxError, EvalError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXPR_ERROR
+        return EXIT_BAD_INPUT
     if args.format == "json":
         print(json.dumps({"expr": args.expr, "order": series.order,
                           "modulus": ring.modulus,
@@ -123,6 +137,9 @@ def _report_table_row(rep) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if (_bad_option("--order", args.order, 1)
+            or _bad_option("--count", args.count, 1)):
+        return EXIT_BAD_INPUT
     items = select_items(args.filter)
     if not items:
         print(f"warning: no registry items match filter {args.filter!r}",
@@ -131,9 +148,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
     passed = 0
+    plan = plan_family_orders(items, args.count)
     # items run in id order, so streaming keeps the output sorted
     for item in items:
-        rep = run_item(item, order=args.order, count=args.count)
+        rep = run_item(item, order=args.order, count=args.count,
+                       family_orders=plan)
         passed += rep.status == "pass"
         if args.format == "json":
             print(json.dumps(rep.as_dict()), flush=True)
@@ -153,7 +172,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
     if s <= 1 or t <= 1 or p < 1 or not 0 <= r < p or m < 2 or count < 1:
         print("error: need s,t > 1, p >= 1, 0 <= r < p, mod >= 2, count >= 1",
               file=sys.stderr)
-        return EXIT_EXPR_ERROR
+        return EXIT_BAD_INPUT
     need = p * (count - 1) + r + 1
     if need > SCAN_ORDER_CAP:
         print(f"error: scan needs series order {need}, above the cap of "

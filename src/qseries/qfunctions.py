@@ -3,7 +3,7 @@
 Everything here is built from three primitive expansions:
 
 * the Euler product f_k = (q^k;q^k)_inf, expanded by the pentagonal
-  number theorem;
+  number theorem (and its cube, by Jacobi's identity);
 * the Ramanujan theta f(-q^a, -q^b), expanded as a bilateral sum over
   triangular-number exponents;
 * the cubic theta a(q) = sum over the triangular lattice of
@@ -52,6 +52,27 @@ def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSerie
         if e < order:
             coeffs[e] = s
         j += 1
+    return TruncatedSeries(ring, coeffs)
+
+
+def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
+    """The cube f_k^3, truncated, by Jacobi's identity:
+
+    f_k^3 = sum_{n>=0} (-1)^n (2n+1) q^{k n(n+1)/2}.
+
+    About sqrt(2N/k) nonzero terms, fewer than f_k itself has.
+    """
+    if k < 1:
+        raise ValueError(f"Euler product index must be positive, got {k}")
+    if order < 1:
+        raise ValueError("order must be positive")
+    coeffs = [0] * order
+    n = 0
+    e = 0
+    while e < order:
+        coeffs[e] = -(2 * n + 1) if n & 1 else 2 * n + 1
+        n += 1
+        e = k * n * (n + 1) // 2
     return TruncatedSeries(ring, coeffs)
 
 
@@ -146,9 +167,17 @@ def bipartition_series(s: int, t: int, order: int,
 
     Coefficient n counts pairs (lambda, mu) with |lambda| + |mu| = n,
     lambda s-regular and mu t-regular.
+
+    Built as f_s f_t f_1 / f_1^3 with one quotient recurrence over the
+    Jacobi cube (:func:`euler_cube`), which is sparser than f_1, instead
+    of two over f_1.  The numerator is multiplied out over Z, where its
+    coefficients stay small, and reduced once.  The divisor has constant
+    term 1, so the quotient is exact and equals f_s f_t / f_1^2 in Z and
+    in every Z/m.
     """
     if s <= 1 or t <= 1:
         raise ValueError(f"regularity indices must exceed 1, got ({s}, {t})")
-    f1 = euler_f(1, order, ring)
-    num = euler_f(s, order, ring) * euler_f(t, order, ring)
-    return num.divide(f1).divide(f1)
+    num = euler_f(s, order) * euler_f(t, order) * euler_f(1, order)
+    if ring.modulus:
+        num = num.reduce_mod(ring.modulus)
+    return num.divide(euler_cube(1, order, ring))

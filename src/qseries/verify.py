@@ -228,18 +228,56 @@ def clear_family_cache() -> None:
     _family_cache.clear()
 
 
-def check_congruence(check: CongruenceCheck, count: int | None = None,
-                     perturb: int | None = None) -> VerificationReport:
-    """Scan a congruence between two arithmetic progressions of a family."""
-    t0 = time.perf_counter()
+FamilyOrders = dict[tuple[int, int, int], int]
+
+
+def scan_order(check: CongruenceCheck, count: int | None = None) -> int:
+    """Family series order a scan needs: one past the highest coefficient
+    index either progression reaches for n below the count."""
     cnt = count if count is not None else check.count
-    s, t_idx = check.family
-    m = check.modulus
     a1, b1 = check.lhs
     need = a1 * (cnt - 1) + b1 + 1
     if check.rhs is not None:
         a2, b2 = check.rhs
         need = max(need, a2 * (cnt - 1) + b2 + 1)
+    return need
+
+
+def plan_family_orders(items: list[RegistryItem],
+                       count: int | None = None) -> FamilyOrders:
+    """The largest order the items' scans need, per (s, t, modulus).
+
+    Passed to :func:`run_item`, it makes the first scan of a family build
+    the series once at the order every later scan of that family needs,
+    instead of rebuilding it each time a scan needs more.
+    """
+    plan: FamilyOrders = {}
+    for item in items:
+        for check in item.checks:
+            if isinstance(check, CongruenceCheck):
+                key = (*check.family, check.modulus)
+                plan[key] = max(plan.get(key, 0), scan_order(check, count))
+    return plan
+
+
+def check_congruence(check: CongruenceCheck, count: int | None = None,
+                     perturb: int | None = None,
+                     family_orders: FamilyOrders | None = None
+                     ) -> VerificationReport:
+    """Scan a congruence between two arithmetic progressions of a family.
+
+    The family is built to at least the order ``family_orders`` plans for
+    it (see :func:`plan_family_orders`).
+    """
+    t0 = time.perf_counter()
+    cnt = count if count is not None else check.count
+    s, t_idx = check.family
+    m = check.modulus
+    a1, b1 = check.lhs
+    a2, b2 = check.rhs or (0, 0)
+    need = scan_order(check, count)
+    if family_orders:
+        need = max(need, family_orders.get((s, t_idx, m), 0))
     series = family_series(s, t_idx, m, need)
     coeffs = series.coeffs
     c = check.multiplier % m
@@ -282,12 +320,14 @@ def check_binomial(check: BinomialCheck, order: int | None = None,
 
 def run_item(item: RegistryItem, order: int | None = None,
              count: int | None = None,
-             perturb: int | None = None) -> VerificationReport:
+             perturb: int | None = None,
+             family_orders: FamilyOrders | None = None) -> VerificationReport:
     """Run all checks of a registry item, aggregating into one report.
 
     A multi-link item passes only if every link passes; the reported
     order is the smallest order any link achieved, and a failure carries
-    the failing link's name.
+    the failing link's name.  ``family_orders`` is the run's plan from
+    :func:`plan_family_orders`, passed on to every scan.
     """
     t0 = time.perf_counter()
     min_order: int | None = None
@@ -295,7 +335,8 @@ def run_item(item: RegistryItem, order: int | None = None,
         if isinstance(check, IdentityCheck):
             rep = check_identity(check, order=order, perturb=perturb)
         elif isinstance(check, CongruenceCheck):
-            rep = check_congruence(check, count=count, perturb=perturb)
+            rep = check_congruence(check, count=count, perturb=perturb,
+                                   family_orders=family_orders)
         else:
             rep = check_binomial(check, order=order, perturb=perturb)
         if rep.status != "pass":
@@ -609,6 +650,8 @@ def run_registry(filter_text: str | None = None, order: int | None = None,
     if not items:
         run.warnings.append(f"no registry items match filter {filter_text!r}")
         return run
+    plan = plan_family_orders(items, count)
     for item in items:
-        run.reports.append(run_item(item, order=order, count=count))
+        run.reports.append(run_item(item, order=order, count=count,
+                                    family_orders=plan))
     return run

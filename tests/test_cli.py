@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
+from qseries import cli
 from qseries.cli import (
-    EXIT_EXPR_ERROR,
+    EXIT_BAD_INPUT,
     EXIT_OK,
     EXIT_SCAN_BUDGET,
     EXIT_UNKNOWN_FILTER,
@@ -39,17 +42,47 @@ class TestExpand:
         assert modular == [v % 11 for v in exact]
 
     def test_parse_error_exit(self, capsys):
-        assert main(["expand", "(1+q", "--order", "5"]) == EXIT_EXPR_ERROR
+        assert main(["expand", "(1+q", "--order", "5"]) == EXIT_BAD_INPUT
         assert "error" in capsys.readouterr().err
 
     def test_non_unit_division_exit(self, capsys):
-        assert main(["expand", "1/(f1-f1)", "--order", "5"]) == EXIT_EXPR_ERROR
+        assert main(["expand", "1/(f1-f1)", "--order", "5"]) == EXIT_BAD_INPUT
         assert "error" in capsys.readouterr().err
 
     def test_default_order_env(self, capsys, monkeypatch):
         monkeypatch.setenv("QSERIES_DEFAULT_ORDER", "7")
         assert main(["expand", "q"]) == EXIT_OK
         assert len(capsys.readouterr().out.split()) == 7
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+    def test_malformed_default_order_env_warns(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("QSERIES_DEFAULT_ORDER", raw)
+        assert main(["expand", "q"]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert len(captured.out.split()) == 500
+        err = captured.err.splitlines()
+        assert len(err) == 1 and "warning" in err[0] and repr(raw) in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--order", "0"],
+    ["verify", "--order", "-3"],
+    ["verify", "--count", "0"],
+    ["verify", "--count", "-5"],
+    ["expand", "f1", "--mod", "1"],
+])
+def test_out_of_range_option_exit(capsys, monkeypatch, argv):
+    def fail(*args, **kwargs):
+        raise AssertionError("ran past option validation")
+
+    for name in ("select_items", "plan_family_orders", "mod_ring"):
+        monkeypatch.setattr(cli, name, fail)
+    assert main(argv) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert argv[-2] in err[0]
 
 
 class TestVerify:
@@ -132,5 +165,5 @@ class TestScan:
         assert "order" in capsys.readouterr().err
 
     def test_parameter_validation(self, capsys):
-        assert main(["scan", "1", "15", "9", "8", "5", "10"]) == EXIT_EXPR_ERROR
+        assert main(["scan", "1", "15", "9", "8", "5", "10"]) == EXIT_BAD_INPUT
         capsys.readouterr()

@@ -11,6 +11,7 @@ from qseries.oracle import (
 from qseries.qfunctions import (
     bipartition_series,
     borwein_a,
+    euler_cube,
     euler_f,
     pk_series,
     ramanujan_theta,
@@ -40,6 +41,23 @@ class TestEulerF:
             euler_f(0, 10)
         with pytest.raises(ValueError):
             euler_f(1, 0)
+
+
+ALL_RINGS = [EXACT] + [mod_ring(m) for m in (4, 5, 6, 11, 17)]
+
+
+class TestEulerCube:
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_jacobi_identity(self, ring):
+        for k in (1, 2, 7, 27):
+            for n in (1, 2, 3, 50, 1000):
+                assert euler_cube(k, n, ring) == euler_f(k, n, ring) ** 3, (k, n)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            euler_cube(0, 10)
+        with pytest.raises(ValueError):
+            euler_cube(1, 0)
 
 
 class TestPkSeries:
@@ -203,6 +221,18 @@ class TestPartitionFamilies:
     def test_bipartition_matches_count_oracle(self):
         assert list(bipartition_series(7, 11, 250).coeffs) == \
             count_bipartitions(7, 11, 250)
+
+    @pytest.mark.parametrize("s,t,m", [(2, 15, 5), (27, 11, 11),
+                                       (243, 17, 17), (2, 15, 6)])
+    def test_modular_build_is_exact_build_reduced(self, s, t, m):
+        n = 3000
+        ring = mod_ring(m)
+        built = bipartition_series(s, t, n, ring)
+        assert built == bipartition_series(s, t, n).reduce_mod(m)
+        # the two-division form f_s f_t / f_1 / f_1, computed in Z/m
+        f1 = euler_f(1, n, ring)
+        direct = (euler_f(s, n, ring) * euler_f(t, n, ring)).divide(f1).divide(f1)
+        assert built == direct
 
     def test_known_vanishing_coefficient(self):
         series = bipartition_series(2, 15, 9, mod_ring(5))

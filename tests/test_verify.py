@@ -1,5 +1,7 @@
 import pytest
 
+import qseries.verify as verify_mod
+from qseries.cli import main
 from qseries.qexpr import evaluate_text
 from qseries.qfunctions import bipartition_series, euler_f
 from qseries.series import TruncatedSeries, mod_ring
@@ -13,6 +15,7 @@ from qseries.verify import (
     check_congruence,
     check_identity,
     check_vanishing,
+    plan_family_orders,
     registry_ids,
     run_item,
     run_pipeline,
@@ -183,6 +186,33 @@ class TestCheckCongruence:
             CongruenceCheck("bad", (2, 15), (0, 8), None, 5, 10)
 
 
+@pytest.fixture
+def family_builds(monkeypatch):
+    """(s, t, modulus, order) of every family build, from an empty cache."""
+    builds = []
+    build = verify_mod.bipartition_series
+
+    def counted(s, t, order, ring):
+        builds.append((s, t, ring.modulus, order))
+        return build(s, t, order, ring)
+
+    monkeypatch.setattr(verify_mod, "_family_cache", {})
+    monkeypatch.setattr(verify_mod, "bipartition_series", counted)
+    return builds
+
+
+class TestFamilyPlan:
+    def test_count_override_sets_build_order(self, family_builds, capsys):
+        assert main(["verify", "--filter", "b215", "--count", "50"]) == 0
+        # the deepest b215 progression is 27n+23
+        assert family_builds == [(2, 15, 5, 27 * 49 + 23 + 1)]
+
+    def test_no_scans_no_builds(self, family_builds, capsys):
+        assert plan_family_orders(select_items("lemmas")) == {}
+        assert main(["verify", "--filter", "lemmas", "--order", "30"]) == 0
+        assert family_builds == []
+
+
 class TestRunItem:
     def test_chain_aggregates_links(self):
         rep = run_item(REGISTRY["b2711-chain"], order=60)
@@ -218,8 +248,12 @@ class TestRunRegistry:
         assert set(d) >= {"id", "status", "order", "mismatch", "millis"}
         assert d["status"] == "pass"
 
-    def test_full_registry_passes_at_default_settings(self):
+    def test_full_registry_passes_at_default_settings(self, family_builds):
         run = run_registry()
+        # one build per family, at the order of its deepest scan
+        assert sorted(family_builds) == [(2, 15, 5, 27 * 999 + 23 + 1),
+                                         (27, 11, 11, 243 * 399 + 201 + 1),
+                                         (243, 17, 17, 81 * 299 + 77 + 1)]
         assert len(run.reports) == len(EXPECTED_IDS)
         assert run.all_passed
         ids = [r.id for r in run.reports]
