@@ -13,7 +13,10 @@ pure function, so series can be shared freely between threads.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from itertools import compress
 from math import gcd
 from typing import Sequence
 
@@ -82,6 +85,147 @@ def mod_ring(m: int) -> CoefficientRing:
     return CoefficientRing(m)
 
 
+# --- multiplication kernel ------------------------------------------------
+#
+# Every product of two series goes through _mul_coeffs, which picks one of
+# two exact paths per call from a cost estimate:
+#
+# * the sparse loop convolves the nonzero terms, which is cheap when one
+#   factor is lacunary (an Euler product, a monomial);
+# * Kronecker substitution packs each coefficient vector into one Python
+#   int, with one slot per coefficient wide enough to hold any coefficient
+#   of the product, does one big-int multiplication and unpacks the slots.
+#
+# Both paths compute the same exact integer sums, so the results are
+# bit-identical.  The constants below are nanoseconds, measured once with
+# CPython 3.11 on an x86-64 Xeon; only their ratios matter.
+
+_PAIR_NS = 130          # one multiply-add of the sparse loop, plus ...
+_PAIR_DIGIT_NS = 7      # ... this per 30-bit digit of the two factors
+_TERM_NS = 120          # one nonzero term of the denser factor, streamed
+_ARRAY_SLOT_NS = 40     # packing or unpacking one coefficient via array
+_BYTES_SLOT_NS = 650    # the same via a bytearray (slots wider than 8 bytes)
+_KARATSUBA_NS = 10      # times D**1.585 for a product of two D-digit ints
+
+# array type codes by item size in bytes; item values are little-endian
+# in the packed ints, so big-endian hosts swap them.
+_UNSIGNED = {array(code).itemsize: code for code in "BHIQ"}
+_SIGNED = {array(code).itemsize: code for code in "bhiq"}
+_SWAP = sys.byteorder == "big"
+
+
+def _height(c: Sequence[int], m: int) -> int:
+    """Largest absolute coefficient; a residue mod m is at most m - 1."""
+    return m - 1 if m else max(max(c), -min(c))
+
+
+def _slot_bytes(bound: int, signed: bool) -> int:
+    """Slot width that holds every value of absolute value <= bound (and
+    its sign): an array item size when one fits, else the byte count."""
+    w = (bound.bit_length() + signed + 7) // 8
+    return min((size for size in _UNSIGNED if size >= w), default=w)
+
+
+def _kronecker_pays(nza: int, nzb: int, n: int, ha: int, hb: int,
+                    m: int) -> bool:
+    """Whether Kronecker substitution is estimated to beat the sparse loop
+    for factors with nza <= nzb nonzero terms of height ha and hb."""
+    digits = (ha.bit_length() + hb.bit_length()) // 30
+    loop = (nza * nzb * (_PAIR_NS + _PAIR_DIGIT_NS * digits) / 2
+            + nzb * _TERM_NS)
+    w = _slot_bytes(nza * ha * hb, not m)
+    slot = _ARRAY_SLOT_NS if w in _UNSIGNED else _BYTES_SLOT_NS
+    kronecker = 3 * n * slot + _KARATSUBA_NS * (n * w * 8 / 30 + 1) ** 1.585
+    return kronecker < loop
+
+
+def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int,
+                m: int) -> Sequence[int]:
+    """The n low coefficients of a*b, not yet reduced mod m (0: exact).
+
+    a and b hold n coefficients each; residues mod m lie in [0, m).
+    """
+    nza = n - a.count(0)
+    nzb = n - b.count(0)
+    if nzb < nza:
+        a, b, nza, nzb = b, a, nzb, nza
+    if not nza:
+        return [0] * n
+    ha = _height(a, m)
+    hb = ha if b is a else _height(b, m)
+    if _kronecker_pays(nza, nzb, n, ha, hb, m):
+        # Each product coefficient sums at most nza products of height
+        # ha*hb: a proven bound, so no slot overflows into the next.
+        return _mul_kronecker(a, b, n, _slot_bytes(nza * ha * hb, not m),
+                              not m)
+    return _mul_sparse(a, b, n)
+
+
+def _mul_sparse(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
+    """Convolution over nonzero terms; a should be the sparser factor.
+
+    Only a's nonzero terms are listed; b's are streamed once.
+    """
+    small = list(zip(compress(range(n), a), filter(None, a)))
+    res = [0] * n
+    for j, w in zip(compress(range(n), b), filter(None, b)):
+        lim = n - j
+        for i, v in small:
+            if i >= lim:
+                break
+            res[i + j] += v * w
+    return res
+
+
+def _mul_kronecker(a: Sequence[int], b: Sequence[int], n: int, w: int,
+                   signed: bool) -> Sequence[int]:
+    """The n low coefficients of a*b by Kronecker substitution.
+
+    Each factor becomes sum(c_i * 2**(8*w*i)), one int with w-byte slots;
+    w must hold every coefficient of the factors and of the product (with
+    a sign bit when signed).
+    """
+    mask = (1 << 8 * n * w) - 1
+    if signed:
+        # Flipping every slot's top bit maps two's-complement slots to
+        # values biased by 2**(8*w - 1), which are nonnegative.
+        top = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+        pa = (_pack(a, w, True) ^ top) - top
+        pb = pa if b is a else (_pack(b, w, True) ^ top) - top
+        prod = ((pa * pb + top) & mask) ^ top
+    else:
+        pa = _pack(a, w, False)
+        pb = pa if b is a else _pack(b, w, False)
+        prod = pa * pb & mask
+    raw = prod.to_bytes(n * w, "little")
+    code = (_SIGNED if signed else _UNSIGNED).get(w)
+    if code is None:
+        view = memoryview(raw)
+        return [int.from_bytes(view[i:i + w], "little", signed=signed)
+                for i in range(0, len(raw), w)]
+    slots = array(code)
+    slots.frombytes(raw)
+    if _SWAP:
+        slots.byteswap()
+    return slots
+
+
+def _pack(c: Sequence[int], w: int, signed: bool) -> int:
+    """The coefficients as w-byte little-endian slots of one int (signed
+    slots in two's complement)."""
+    code = (_SIGNED if signed else _UNSIGNED).get(w)
+    if code is None:
+        slots = bytearray(len(c) * w)
+        for i, v in zip(compress(range(0, len(slots), w), c),
+                        filter(None, c)):
+            slots[i:i + w] = v.to_bytes(w, "little", signed=signed)
+    else:
+        slots = array(code, c)
+        if _SWAP:
+            slots.byteswap()
+    return int.from_bytes(slots, "little")
+
+
 class TruncatedSeries:
     """A power series prefix c_0 + c_1 q + ... + c_{N-1} q^{N-1} + O(q^N).
 
@@ -98,7 +242,7 @@ class TruncatedSeries:
             raise ValueError("a series needs a positive truncation order")
         m = ring.modulus
         if m:
-            coeffs = tuple(c % m for c in coeffs)
+            coeffs = tuple([c % m for c in coeffs])
         else:
             coeffs = tuple(coeffs)
         self.ring = ring
@@ -261,22 +405,8 @@ class TruncatedSeries:
             return self.scalar_mul(other)
         self._check_ring(other)
         n = min(self.order, other.order)
-        a = self.coeffs[:n]
-        b = other.coeffs[:n]
-        # Convolve from the side with fewer nonzero terms; lacunary series
-        # such as Euler products then cost O(N*sqrt(N)) instead of O(N^2).
-        anz = [(i, v) for i, v in enumerate(a) if v]
-        bnz = [(j, w) for j, w in enumerate(b) if w]
-        if len(bnz) < len(anz):
-            anz, bnz = bnz, anz
-        res = [0] * n
-        for i, v in anz:
-            lim = n - i
-            for j, w in bnz:
-                if j >= lim:
-                    break
-                res[i + j] += v * w
-        return TruncatedSeries(self.ring, res)
+        return TruncatedSeries(self.ring, _mul_coeffs(
+            self.coeffs[:n], other.coeffs[:n], n, self.ring.modulus))
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
@@ -292,10 +422,17 @@ class TruncatedSeries:
             return TruncatedSeries.one(self.ring, self.order)
         if e == 1:
             return self
-        nnz = sum(1 for c in self.coeffs if c)
-        if (e - 1) * nnz <= e.bit_length() * self.order:
-            # Lacunary base: e-1 sparse multiplies beat binary squaring,
-            # whose intermediates are dense.  Result is identical.
+        n = self.order
+        m = self.ring.modulus
+        nnz = n - self.coeffs.count(0)
+        h = _height(self.coeffs, m)
+        if ((e - 1) * nnz <= e.bit_length() * n
+                and not _kronecker_pays(nnz, n, n, h, h, m)):
+            # Lacunary base, and the kernel would multiply a dense power
+            # (costed at the base's height) by it with the sparse loop:
+            # e-1 such products beat binary squaring, whose intermediates
+            # are dense.  Otherwise the kernel's Kronecker path makes the
+            # squarings cheaper.  The result is identical either way.
             acc = self
             for _ in range(e - 1):
                 acc = acc * self

@@ -231,6 +231,14 @@ def clear_family_cache() -> None:
 FamilyOrders = dict[tuple[int, int, int], int]
 
 
+def _require_positive(**values: int | None) -> None:
+    """Reject an order or count below 1 before anything is planned or
+    built; None means the check's own default."""
+    for name, value in values.items():
+        if value is not None and value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def scan_order(check: CongruenceCheck, count: int | None = None) -> int:
     """Family series order a scan needs: one past the highest coefficient
     index either progression reaches for n below the count."""
@@ -269,6 +277,7 @@ def check_congruence(check: CongruenceCheck, count: int | None = None,
     The family is built to at least the order ``family_orders`` plans for
     it (see :func:`plan_family_orders`).
     """
+    _require_positive(count=count)
     t0 = time.perf_counter()
     cnt = count if count is not None else check.count
     s, t_idx = check.family
@@ -329,6 +338,7 @@ def run_item(item: RegistryItem, order: int | None = None,
     the failing link's name.  ``family_orders`` is the run's plan from
     :func:`plan_family_orders`, passed on to every scan.
     """
+    _require_positive(order=order, count=count)
     t0 = time.perf_counter()
     min_order: int | None = None
     for check in item.checks:
@@ -645,6 +655,7 @@ def select_items(filter_text: str | None) -> list[RegistryItem]:
 def run_registry(filter_text: str | None = None, order: int | None = None,
                  count: int | None = None) -> RegistryRun:
     """Run all (or filtered) registry items, reports ordered by id."""
+    _require_positive(order=order, count=count)
     run = RegistryRun()
     items = select_items(filter_text)
     if not items:

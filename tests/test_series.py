@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from qseries import oracle, series
 from qseries.oracle import count_partitions, naive_euler
 from qseries.qfunctions import euler_f
 from qseries.series import (
@@ -115,6 +118,136 @@ class TestPower:
             for e in range(1, 8):
                 step = step * base
                 assert base ** e == step
+
+
+KERNEL_RINGS = [EXACT, mod_ring(2), mod_ring(4), mod_ring(6), mod_ring(11),
+                mod_ring(17), mod_ring(2**31 - 1)]
+
+
+def schoolbook(a, b, k):
+    """Coefficient k of the product, summed directly."""
+    return sum(a[i] * b[k - i] for i in range(k + 1))
+
+
+def both_paths(a, b, m):
+    """The sparse loop's and Kronecker substitution's coefficients of a*b,
+    the latter at the slot width the kernel derives from its bound (which
+    also covers the factors when one of them is zero)."""
+    n = len(a)
+    nonzero = min(n - a.count(0), n - b.count(0))
+    ha, hb = series._height(a, m), series._height(b, m)
+    bound = max(nonzero * ha * hb, ha, hb)
+    w = series._slot_bytes(bound, not m)
+    return (series._mul_sparse(a, b, n),
+            list(series._mul_kronecker(a, b, n, w, not m)))
+
+
+def kernel_operand(rng, ring, n, kind, density=1.0):
+    m = ring.modulus
+    if kind == "zero":
+        return (0,) * n
+    if m:
+        return tuple(rng.randrange(1, m) if rng.random() < density else 0
+                     for _ in range(n))
+    if kind == "negative":
+        return tuple(-rng.randrange(1, 2**70) for _ in range(n))
+    return tuple(rng.randrange(-2**70, 2**70) if rng.random() < density
+                 else 0 for _ in range(n))
+
+
+class TestMulKernel:
+    """The two multiplication paths against each other and a schoolbook
+    convolution."""
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    @pytest.mark.parametrize("n", [1, 2, 7, 600])
+    @pytest.mark.parametrize("kinds", [("random", "random"),
+                                       ("negative", "random"),
+                                       ("negative", "negative"),
+                                       ("zero", "random"),
+                                       ("random", "square")])
+    def test_paths_agree_with_schoolbook(self, ring, n, kinds):
+        rng = random.Random(f"{ring} {n} {kinds}")
+        a = kernel_operand(rng, ring, n, kinds[0])
+        b = a if kinds[1] == "square" else kernel_operand(rng, ring, n,
+                                                          kinds[1])
+        expected = [schoolbook(a, b, k) for k in range(n)]
+        sparse, kronecker = both_paths(a, b, ring.modulus)
+        assert sparse == expected
+        assert kronecker == expected
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_paths_agree_at_order_5000(self, ring):
+        rng = random.Random(5000 + ring.modulus)
+        n = 5000
+        a = kernel_operand(rng, ring, n, "random", density=0.01)
+        b = kernel_operand(rng, ring, n, "random")
+        sparse, kronecker = both_paths(a, b, ring.modulus)
+        assert sparse == kronecker
+        for k in (0, 1, 2, 2499, 4998, 4999):
+            assert kronecker[k] == schoolbook(a, b, k)
+
+    @pytest.mark.parametrize("bound, signed, width", [
+        (2**32 - 1, False, 4), (2**32, False, 8),
+        (2**64 - 1, False, 8), (2**64, False, 9),
+        (2**31 - 1, True, 4), (2**31, True, 8),
+        (2**63 - 1, True, 8), (2**63, True, 9),
+    ])
+    def test_slot_width_switches(self, bound, signed, width):
+        assert series._slot_bytes(bound, signed) == width
+
+    @pytest.mark.parametrize("m, n, width", [
+        (2**16, 1, 4), (2**16 + 1, 1, 8),            # bound near 2**32
+        (2**32, 1, 8), (2**32 + 1, 1, 9),            # bound near 2**64
+        (2**31 - 1, 4, 8), (2**31 - 1, 5, 9),
+    ])
+    def test_residue_products_at_slot_limits(self, m, n, width):
+        # all coefficients m - 1: the top product coefficient equals the
+        # bound n*(m-1)**2, so a slot one size too small would overflow
+        a = (m - 1,) * n
+        assert series._slot_bytes(n * (m - 1) ** 2, False) == width
+        sparse, kronecker = both_paths(a, a, m)
+        assert sparse == kronecker == [(k + 1) * (m - 1) ** 2
+                                       for k in range(n)]
+
+    @pytest.mark.parametrize("h, width", [
+        (2**15 - 1, 4), (2**15, 8),                  # bound 2*h*h near 2**31
+        (2**31 - 1, 8), (2**31, 9),                  # bound near 2**63
+    ])
+    def test_signed_products_at_slot_limits(self, h, width):
+        a, b = (h, h), (-h, -h)
+        assert series._slot_bytes(2 * h * h, True) == width
+        for x, y in ((a, b), (b, b), (a, a)):
+            sparse, kronecker = both_paths(x, y, 0)
+            assert sparse == kronecker == [schoolbook(x, y, k)
+                                           for k in range(2)]
+
+    def test_dispatch_takes_each_path(self, monkeypatch):
+        taken = []
+        for name in ("_mul_sparse", "_mul_kronecker"):
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name,
+                                lambda *args, real=real, name=name:
+                                taken.append(name) or real(*args))
+        dense = random_series(random.Random(3), mod_ring(11), order=600)
+        assert dense * dense == TruncatedSeries(
+            mod_ring(11), [schoolbook(dense.coeffs, dense.coeffs, k)
+                           for k in range(600)])
+        assert taken == ["_mul_kronecker"]
+        taken.clear()
+        monomial = TruncatedSeries.monomial(mod_ring(11), 600, 5, 3)
+        assert (monomial * dense).coeffs == (0,) * 5 + tuple(
+            3 * c % 11 for c in dense.coeffs[:595])
+        assert taken == ["_mul_sparse"]
+
+    def test_oracle_needs_no_kernel(self, monkeypatch):
+        def no_kernel(*args):
+            raise AssertionError("the oracle reached the product kernel")
+
+        monkeypatch.setattr(series, "_mul_coeffs", no_kernel)
+        assert oracle.count_partitions(10)[-1] == 30
+        assert oracle.count_bipartitions(2, 15, 40) \
+            and oracle.naive_euler(1, 40).coeffs[:3] == (1, -1, -1)
 
 
 class TestInvert:

@@ -230,6 +230,20 @@ class TestRunItem:
         rep = run_item(REGISTRY["b711-a3"], order=60)
         assert INDUCTION_NOTE in rep.note
 
+    @pytest.mark.parametrize("item_id, name", [("b215-b1", "count"),
+                                               ("eq-2k", "order")])
+    def test_nonpositive_input_names_parameter(self, item_id, name,
+                                               family_builds):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be at least 1, got 0$"):
+            run_item(REGISTRY[item_id], **{name: 0})
+        assert family_builds == []
+
+    def test_congruence_count_checked_before_build(self, family_builds):
+        with pytest.raises(ValueError, match="^count must be at least 1"):
+            check_congruence(REGISTRY["b215-b1"].checks[0], count=0)
+        assert family_builds == []
+
 
 class TestRunRegistry:
     def test_family_filter_runs_six_items(self):
@@ -241,6 +255,20 @@ class TestRunRegistry:
     def test_order_override_reflected(self):
         run = run_registry("eq-4w", order=80)
         assert run.reports[0].order == 80
+
+    @pytest.mark.parametrize("kwargs", [{"count": -1}, {"order": 0}])
+    def test_nonpositive_input_rejected_before_planning(self, kwargs,
+                                                        family_builds,
+                                                        monkeypatch):
+        def no_plan(*args):
+            raise AssertionError("planned despite bad input")
+
+        monkeypatch.setattr(verify_mod, "plan_family_orders", no_plan)
+        (name, value), = kwargs.items()
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be at least 1, got {value}$"):
+            run_registry(**kwargs)
+        assert family_builds == []
 
     def test_report_dict_fields(self):
         run = run_registry("eq-2k", order=60)
