@@ -113,6 +113,10 @@ def cmd_expand(args: argparse.Namespace) -> int:
     except (QSyntaxError, EvalError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except RecursionError:
+        # parsing and evaluation recurse once per nesting level
+        print("error: expression nested too deeply", file=sys.stderr)
+        return EXIT_BAD_INPUT
     if args.format == "json":
         print(json.dumps({"expr": args.expr, "order": series.order,
                           "modulus": ring.modulus,

@@ -424,6 +424,70 @@ def _septic_cached(order: int, modulus: int):
     return qfunctions.septic_ABC(order, ring)
 
 
+# The septic quotients are A, B, C = f(-q^a, -q^b) / f_2 for these (a, b).
+_SEPTIC_THETA = {"A": (3, 4), "B": (2, 5), "C": (1, 6)}
+
+
+def _divide(num: TruncatedSeries | None, den: QExpr, p: int,
+            ctx: EvalContext) -> TruncatedSeries:
+    """num / den^p, or den^-p when num is None, one sparse factor at a time.
+
+    The divisor's Mul and positive-Pow nodes are walked without recursion.
+    Euler products, thetas and septic quotients (at any q^k) have
+    constant term 1 and few nonzero terms, so each is divided out by its
+    own quotient recurrence; every other factor is multiplied into one
+    remaining divisor, divided out first (or, for den^-p, inverted before
+    the p-th power), as when the divisor was evaluated whole.  Each sparse
+    quotient is unique, so the result and any error are the same as that
+    evaluation's, in Z and in every Z/m.
+    """
+    n, ring = ctx.order, ctx.ring
+    euler: dict[int, int] = {}    # k -> exponent of f_k
+    theta: dict[tuple[int, int], list] = {}  # (a, b) -> [series, exponent]
+    septic_f: dict[int, int] = {}  # 2k -> exponent of f_2k, from A, B, C(q^k)
+    rest = None
+    stack = [(den, 1)]
+    while stack:
+        node, e = stack.pop()
+        if isinstance(node, Mul):
+            stack += ((node.right, e), (node.left, e))
+            continue
+        if isinstance(node, Pow) and node.exponent > 0:
+            stack.append((node.base, e * node.exponent))
+            continue
+        k, atom = (node.k, node.child) if isinstance(node, Subst) else (1, node)
+        if isinstance(node, Euler):
+            euler[node.k] = euler.get(node.k, 0) + e
+            continue
+        if isinstance(atom, Septic):
+            septic_f[2 * k] = septic_f.get(2 * k, 0) + e
+            key = tuple(k * x for x in _SEPTIC_THETA[atom.letter])
+        elif isinstance(node, Theta):
+            key = (node.a, node.b)
+        else:
+            factor = evaluate(node, ctx) ** e
+            rest = factor if rest is None else rest * factor
+            continue
+        if key not in theta:
+            # built at first sight: an invalid theta raises before any
+            # later factor is evaluated
+            theta[key] = [qfunctions.ramanujan_theta(key, n, ring), 0]
+        theta[key][1] += e
+    if num is None:
+        num = (TruncatedSeries.one(ring, n) if rest is None
+               else rest.invert() ** p)
+    elif rest is not None:
+        num = num.divide(rest)
+    for k, e in septic_f.items():
+        num = num * qfunctions.euler_f(k, num.order, ring) ** (e * p)
+    for k, e in euler.items():
+        num = qfunctions.divide_euler_power(num, k, e * p)
+    for series, e in theta.values():
+        for _ in range(e * p):
+            num = num.divide(series)
+    return num
+
+
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
     """Evaluate a syntax tree bottom-up at the context's order and ring.
 
@@ -458,8 +522,10 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
         if isinstance(e, Mul):
             return evaluate(e.left, ctx) * evaluate(e.right, ctx)
         if isinstance(e, Div):
-            return evaluate(e.left, ctx).divide(evaluate(e.right, ctx))
+            return _divide(evaluate(e.left, ctx), e.right, 1, ctx)
         if isinstance(e, Pow):
+            if e.exponent < 0:
+                return _divide(None, e.base, -e.exponent, ctx)
             return evaluate(e.base, ctx) ** e.exponent
     except EvalError:
         raise

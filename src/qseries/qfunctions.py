@@ -76,10 +76,33 @@ def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSe
     return TruncatedSeries(ring, coeffs)
 
 
+def divide_euler_power(num: TruncatedSeries, k: int, p: int) -> TruncatedSeries:
+    """num / f_k^p, divided out one lacunary factor at a time.
+
+    p // 3 quotient recurrences run over the Jacobi cube f_k^3 and p % 3
+    over f_k, instead of one over the dense f_k^p.  Every divisor has
+    constant term 1, so the quotient is the unique one: the same series,
+    to the same order, as num.divide(euler_f(k, ...) ** p), in Z and in
+    every Z/m.
+    """
+    n, ring = num.order, num.ring
+    if p >= 3:
+        cube = euler_cube(k, n, ring)
+        for _ in range(p // 3):
+            num = num.divide(cube)
+    if p % 3:
+        f = euler_f(k, n, ring)
+        for _ in range(p % 3):
+            num = num.divide(f)
+    return num
+
+
 def pk_series(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """The k-th power f_1^k; k = -1 gives the partition numbers p(n)."""
     if k == 0:
         raise ValueError("power index must be nonzero")
+    if k < 0:
+        return divide_euler_power(TruncatedSeries.one(ring, order), 1, -k)
     return euler_f(1, order, ring) ** k
 
 
@@ -180,4 +203,4 @@ def bipartition_series(s: int, t: int, order: int,
     num = euler_f(s, order) * euler_f(t, order) * euler_f(1, order)
     if ring.modulus:
         num = num.reduce_mod(ring.modulus)
-    return num.divide(euler_cube(1, order, ring))
+    return divide_euler_power(num, 1, 3)

@@ -18,6 +18,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 from math import gcd
+from operator import itemgetter, mul
 from typing import Sequence
 
 
@@ -455,17 +456,31 @@ class TruncatedSeries:
         c0 = den[0]
         c0inv = ring.inverse(c0)  # raises NonUnitError if not a unit
         dnz = [(k, v) for k, v in enumerate(den[:n]) if v and k > 0]
-        g = [0] * n
         m = ring.modulus
         if m:
+            # g grows by one coefficient per step, so g[i - k] is g[-k]:
+            # one itemgetter over the offsets in range gathers every term
+            # at once, and is rebuilt only when a divisor term enters
+            # range.  Its trailing -1 keeps it returning a tuple when one
+            # term is in range; map stops at the end of vals.
+            g: list[int] = []
+            offsets: list[int] = []
+            vals: list[int] = []
+            get = None
             for i in range(n):
+                if len(vals) < len(dnz) and dnz[len(vals)][0] == i:
+                    k, v = dnz[len(vals)]
+                    offsets.append(-k)
+                    vals.append(v)
+                    get = itemgetter(*offsets, -1)
                 s = num[i]
-                for k, v in dnz:
-                    if k > i:
-                        break
-                    s -= v * g[i - k]
-                g[i] = s * c0inv % m
+                if vals:
+                    s -= sum(map(mul, vals, get(g)))
+                g.append(s * c0inv % m)
         else:
+            # On a dense divisor this loop beats the gather over Z, where
+            # the products are big integers.
+            g = [0] * n
             for i in range(n):
                 s = num[i]
                 for k, v in dnz:

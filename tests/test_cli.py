@@ -64,6 +64,18 @@ class TestExpand:
         assert len(err) == 1 and "warning" in err[0] and repr(raw) in err[0]
 
 
+@pytest.mark.parametrize("expr", [
+    "(" * 400 + "q" + ")" * 400,
+    "f1*" * 2999 + "q",
+], ids=["400-nested-parentheses", "3000-factor-product"])
+def test_deeply_nested_expression_exit(capsys, expr):
+    assert main(["expand", "--order", "5", "--", expr]) == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--order", "0"],
     ["verify", "--order", "-3"],

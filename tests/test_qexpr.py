@@ -1,3 +1,6 @@
+import hashlib
+import json
+import os
 import random
 
 import pytest
@@ -27,7 +30,7 @@ from qseries.qexpr import (
     tokenize,
 )
 from qseries.qfunctions import bipartition_series, euler_f, ramanujan_theta
-from qseries.series import EXACT, TruncatedSeries, mod_ring
+from qseries.series import EXACT, SeriesError, TruncatedSeries, mod_ring
 from qseries.verify import REGISTRY, DissectionPipeline
 
 
@@ -216,3 +219,121 @@ class TestEvaluate:
     def test_integer_literal_series(self):
         got = evaluate_text("7", 3)
         assert got == TruncatedSeries(EXACT, [7, 0, 0])
+
+
+PLANNER_RINGS = [EXACT] + [mod_ring(m) for m in (2, 4, 5, 6, 11, 17)]
+
+
+def _random_factor(rng):
+    """One factor of a random eta/theta quotient, as expression text."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        atom = f"f{rng.randint(1, 9)}"
+    elif kind == 1:
+        atom = f"theta({rng.randint(1, 5)},{rng.randint(1, 5)})"
+    elif kind == 2:
+        atom = rng.choice("ABC")
+    elif kind == 3:
+        atom = f"{rng.choice('ABC')}(q^{rng.randint(2, 3)})"
+    elif kind == 4:
+        atom = rng.choice(["a(q)", "a(q^2)"])
+    elif kind == 5:
+        atom = str(rng.choice([1, 1, 2, 3, 5]))
+    elif kind == 6:
+        atom = "q"
+    else:
+        atom = f"f{rng.randint(1, 4)}"
+    e = rng.choice([1, 1, 1, 2, 3, 4, 7])
+    return atom if e == 1 else f"{atom}^{e}"
+
+
+def _random_product(rng, most):
+    return "*".join(_random_factor(rng) for _ in range(rng.randint(1, most)))
+
+
+def _outcome(compute):
+    """(order, coefficients), or (error type, message) of the series
+    error a computation raised; an EvalError is unwrapped to its cause."""
+    try:
+        got = compute()
+    except EvalError as exc:
+        return type(exc.__cause__), str(exc.__cause__)
+    except SeriesError as exc:
+        return type(exc), str(exc)
+    return got.order, got.coeffs
+
+
+class TestDivisorPlanner:
+    """Quotients divided one sparse factor at a time against the whole
+    divisor evaluated first and divided (or inverted) once."""
+
+    @pytest.mark.parametrize("ring", PLANNER_RINGS, ids=str)
+    def test_random_quotients_match_whole_divisor(self, ring):
+        rng = random.Random(4141 + ring.modulus)
+        errors = 0
+        for _ in range(40):
+            num, den = _random_product(rng, 3), _random_product(rng, 4)
+            p = rng.randint(1, 3)
+            ctx = EvalContext(rng.randint(1, 60), ring)
+            nv, dv = parse_expr(num), parse_expr(den)
+
+            def whole_divided():
+                return evaluate(nv, ctx).divide(evaluate(dv, ctx) ** p)
+
+            def whole_inverted():
+                return evaluate(nv, ctx) * evaluate(dv, ctx).invert() ** p
+
+            for text, reference in ((f"{num}/({den})^{p}", whole_divided),
+                                    (f"{num}*({den})^-{p}", whole_inverted)):
+                want = _outcome(reference)
+                got = _outcome(lambda: evaluate(parse_expr(text), ctx))
+                assert got == want, (text, ctx)
+                errors += isinstance(want[0], type)
+        assert 0 < errors < 80  # both outcomes are exercised
+
+    def test_nested_divisor_factors(self):
+        ctx = EvalContext(80, mod_ring(6))
+        text = "f2*(1+q)/((f1^2*theta(1,3))^2*(B(q^2)*f5)^3*(f1/f7)*(-C))"
+        num = evaluate(parse_expr("f2*(1+q)"), ctx)
+        den = evaluate(parse_expr(
+            "(f1^2*theta(1,3))^2*(B(q^2)*f5)^3*(f1/f7)*(-C)"), ctx)
+        assert evaluate(parse_expr(text), ctx) == num.divide(den)
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("1/(q*f1)", "ValuationError",
+         "dividend has q-valuation below the divisor's (1)"),
+        ("1/(2*f1)", "NonUnitError", "2 is not invertible over the integers"),
+        ("(2*f1^2)^-3", "NonUnitError", "2 is not invertible over the integers"),
+        ("1/(f1*(f1 - f1))", "NonUnitError",
+         "divisor vanishes identically to its order 20"),
+    ])
+    def test_errors_name_the_quotient(self, text, error, message):
+        with pytest.raises(EvalError) as err:
+            evaluate_text(text, 20)
+        assert type(err.value.__cause__).__name__ == error
+        assert str(err.value) == f"{message} in '{text}'"
+
+    def test_cancelled_valuation_lowers_the_order(self):
+        got = evaluate_text("q/(q*f1^2)", 30)
+        assert got.order == 29
+        assert got == evaluate_text("1/f1^2", 29)
+
+    def test_flat_divisor_is_walked_without_recursion(self):
+        n = 6
+        got = evaluate_text("1/(" + "f1*" * 2999 + "f2)", n)
+        den = euler_f(1, n) ** 2999 * euler_f(2, n)
+        assert got == TruncatedSeries.one(EXACT, n).divide(den)
+
+
+def test_expand_reference_digests():
+    """Every 8th recorded expand request of the benchmark still gives the
+    coefficients the program gave when the benchmark was defined."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "reference.json")
+    with open(path) as fh:
+        entries = json.load(fh)["expand"][::8]
+    assert len(entries) == 24
+    for entry in entries:
+        coeffs = evaluate_text(entry["expr"], entry["order"]).coeffs
+        digest = hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest()
+        assert digest == entry["sha256"], entry["expr"]

@@ -11,6 +11,7 @@ from qseries.oracle import (
 from qseries.qfunctions import (
     bipartition_series,
     borwein_a,
+    divide_euler_power,
     euler_cube,
     euler_f,
     pk_series,
@@ -73,6 +74,23 @@ class TestPkSeries:
     def test_zero_power_rejected(self):
         with pytest.raises(ValueError):
             pk_series(0, 10)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_negative_powers_are_inverted_powers(self, ring):
+        for k in (1, 2, 3, 4, 7, 12):
+            for n in (1, 2, 200):
+                want = euler_f(1, n, ring).invert() ** k
+                assert pk_series(-k, n, ring) == want, (k, n)
+
+
+class TestDivideEulerPower:
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_equals_division_by_the_whole_power(self, ring):
+        num = TruncatedSeries(ring, [(7 * i * i - 3) % 23 - 11 for i in range(150)])
+        for k in (1, 2, 5):
+            for p in range(8):
+                want = num.divide(euler_f(k, 150, ring) ** p)
+                assert divide_euler_power(num, k, p) == want, (k, p)
 
 
 class TestRamanujanTheta:

@@ -309,6 +309,49 @@ class TestDivide:
             S(1, 0) / S(2, 0)
 
 
+def schoolbook_quotient(num, den, m):
+    """num/den mod m by the quotient recurrence, one term at a time."""
+    inv = pow(den[0], -1, m)
+    g = []
+    for i in range(len(num)):
+        s = num[i] - sum(den[k] * g[i - k] for k in range(1, min(i + 1, len(den))))
+        g.append(s * inv % m)
+    return g
+
+
+class TestModularGather:
+    """The Z/m quotient recurrence gathers g[i-k] for all divisor terms
+    in range at once; checked against the schoolbook recurrence."""
+
+    @pytest.mark.parametrize("num, den, m", [
+        ([1, 2, 3], [1, 0, 0, 0, 5], 11),      # only later term at k >= n
+        ([1, 2, 3], [1, 0, 0, 7], 11),          # ... at k == n
+        ([4], [3, 5], 11),                       # order 1
+        ([5, 1, 0, 2, 9, 3], [3, 0, 0, 1, 0, 0], 11),  # unit 3, one term
+        ([1, 0, 0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0, 0], 2),
+    ])
+    def test_small_cases(self, num, den, m):
+        ring = mod_ring(m)
+        got = S(*num, ring=ring) / S(*den, ring=ring)
+        n = min(len(num), len(den))
+        assert list(got.coeffs) == schoolbook_quotient(num[:n], den[:n], m)
+
+    @pytest.mark.parametrize("m, c0", [(11, 3), (11, 1), (17, 16), (6, 5),
+                                       (4, 3), (2, 1)])
+    def test_dense_and_sparse_divisors(self, rng, m, c0):
+        ring = mod_ring(m)
+        for n, density in ((1, 1.0), (2, 1.0), (300, 1.0), (300, 0.05)):
+            num = [rng.randrange(m) for _ in range(n)]
+            den = [c0] + [rng.randrange(m) if rng.random() < density else 0
+                          for _ in range(n - 1)]
+            want = schoolbook_quotient(num, den, m)
+            got = S(*num, ring=ring) / S(*den, ring=ring)
+            assert list(got.coeffs) == want, (n, density)
+            inv = S(*den, ring=ring).invert()
+            assert list(inv.coeffs) == schoolbook_quotient(
+                [1] + [0] * (n - 1), den, m)
+
+
 class TestExtract:
     def test_direct_indexing(self):
         a = S(1, 2, 3, 4, 5, 6)
