@@ -57,7 +57,6 @@ from .verify import (
     VerificationReport,
     check_congruence,
     check_identity,
-    check_vanishing,
     registry_ids,
     run_item,
     run_pipeline,
@@ -75,7 +74,7 @@ __all__ = [
     "parse_expr", "to_text", "evaluate", "evaluate_text",
     "DissectionPipeline", "IdentityCheck", "CongruenceCheck",
     "BinomialCheck", "RegistryItem", "RegistryRun", "VerificationReport",
-    "REGISTRY", "registry_ids", "check_identity", "check_vanishing",
+    "REGISTRY", "registry_ids", "check_identity",
     "check_congruence", "run_pipeline", "run_item", "run_registry",
     "__version__",
 ]

@@ -512,7 +512,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return qfunctions.ramanujan_theta((e.a, e.b), n, ring)
         if isinstance(e, Subst):
             inner = evaluate(e.child, EvalContext(-(-n // e.k), ring))
-            return inner.substitute_power(e.k).truncate(n)
+            return inner.substitute_power(e.k, cap=n)
         if isinstance(e, Neg):
             return -evaluate(e.child, ctx)
         if isinstance(e, Add):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Callable, Iterator, Union
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .qfunctions import bipartition_series, euler_f
@@ -69,8 +69,11 @@ class CongruenceCheck:
     multiplier: int = 1
 
     def __post_init__(self) -> None:
-        if self.lhs[0] < 1 or self.lhs[1] < 0:
-            raise ValueError("left progression needs step >= 1, offset >= 0")
+        for side, (step, offset) in (("left", self.lhs),
+                                     ("right", self.rhs or (1, 0))):
+            if step < 1 or offset < 0:
+                raise ValueError(
+                    f"{side} progression needs step >= 1, offset >= 0")
 
 
 @dataclass(frozen=True)
@@ -149,67 +152,6 @@ def seed_order_for(final_order: int, steps: tuple[tuple[int, int], ...]) -> int:
     return needed
 
 
-def _bump(series: TruncatedSeries, index: int) -> TruncatedSeries:
-    """Add one unit to a single coefficient (used by sensitivity tests)."""
-    coeffs = list(series.coeffs)
-    coeffs[index] += 1
-    return TruncatedSeries(series.ring, coeffs)
-
-
-def _error_report(name: str, message: str, t0: float) -> VerificationReport:
-    mismatch = {"index": -1, "lhs": None, "rhs": None, "error": message}
-    return VerificationReport(name, "fail", 0, mismatch,
-                              (time.perf_counter() - t0) * 1000.0)
-
-
-def check_identity(check: IdentityCheck, order: int | None = None,
-                   perturb: int | None = None) -> VerificationReport:
-    """Evaluate both sides of an identity and compare coefficientwise."""
-    t0 = time.perf_counter()
-    n = order if order is not None else check.order
-    ring = mod_ring(check.modulus) if check.modulus else EXACT
-    try:
-        if isinstance(check.lhs, DissectionPipeline):
-            seed_order = seed_order_for(n, check.lhs.steps)
-            lhs = run_pipeline(check.lhs, ring, seed_order)
-        else:
-            lhs = evaluate(parse_expr(check.lhs), EvalContext(n, ring))
-        rhs = evaluate(parse_expr(check.rhs), EvalContext(n, ring))
-        if perturb is not None:
-            rhs = _bump(rhs, perturb)
-    except (SeriesError, QSyntaxError, EvalError) as exc:
-        return _error_report(check.name, str(exc), t0)
-    checked = min(lhs.order, rhs.order, n)
-    diff = lhs.truncate(checked).first_mismatch(rhs.truncate(checked))
-    millis = (time.perf_counter() - t0) * 1000.0
-    if diff is None:
-        return VerificationReport(check.name, "pass", checked, None, millis)
-    index, lv, rv = diff
-    return VerificationReport(check.name, "fail", checked,
-                              {"index": index, "lhs": lv, "rhs": rv}, millis)
-
-
-def check_vanishing(series: TruncatedSeries, p: int, r: int,
-                    count: int) -> VerificationReport:
-    """Assert coefficient p*n + r of the series vanishes for n < count."""
-    if series.order < p * count + r:
-        raise ValueError(
-            f"insufficient order: scanning ({p}n+{r}) for n < {count} needs "
-            f"order >= {p * count + r}, have {series.order}")
-    t0 = time.perf_counter()
-    zero = 0
-    for n in range(count):
-        v = series.coeffs[p * n + r]
-        if v != zero:
-            millis = (time.perf_counter() - t0) * 1000.0
-            return VerificationReport(
-                f"vanishing({p}n+{r})", "fail", count,
-                {"index": n, "lhs": v, "rhs": 0,
-                 "coefficient_index": p * n + r}, millis)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(f"vanishing({p}n+{r})", "pass", count, None, millis)
-
-
 # Modular bipartition series are reused across many scans; cache the
 # largest one computed per (s, t, modulus).
 _family_cache: dict[tuple[int, int, int], TruncatedSeries] = {}
@@ -231,12 +173,14 @@ def clear_family_cache() -> None:
 FamilyOrders = dict[tuple[int, int, int], int]
 
 
-def _require_positive(**values: int | None) -> None:
-    """Reject an order or count below 1 before anything is planned or
-    built; None means the check's own default."""
+def _require_in_range(**values: int | None) -> None:
+    """Reject an order or count below 1, or a perturb index below 0,
+    before anything is planned or built; None means the check's own
+    default (for perturb: no perturbation)."""
     for name, value in values.items():
-        if value is not None and value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        least = 0 if name == "perturb" else 1
+        if value is not None and value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def scan_order(check: CongruenceCheck, count: int | None = None) -> int:
@@ -268,6 +212,109 @@ def plan_family_orders(items: list[RegistryItem],
     return plan
 
 
+# A check yields (lhs, rhs, extra) pairs of series; extra(index) gives the
+# fields a mismatch at that coefficient index adds to the report.
+Pair = tuple[TruncatedSeries, TruncatedSeries, Callable[[int], dict]]
+
+
+def _pairs(check: Check, order: int | None = None, count: int | None = None,
+           family_orders: FamilyOrders | None = None) -> Iterator[Pair]:
+    """The series pairs a check claims equal, built lazily, one at a time.
+
+    An identity yields its two sides; a scan yields the left progression
+    of its family against the right one times the multiplier (or zero),
+    coefficient n for n below the count; the binomial check yields
+    f_p against f_1^p for each prime in turn.
+    """
+    if isinstance(check, IdentityCheck):
+        n = order if order is not None else check.order
+        ring = mod_ring(check.modulus) if check.modulus else EXACT
+        if isinstance(check.lhs, DissectionPipeline):
+            lhs = run_pipeline(check.lhs, ring, seed_order_for(n, check.lhs.steps))
+        else:
+            lhs = evaluate(parse_expr(check.lhs), EvalContext(n, ring))
+        yield (lhs, evaluate(parse_expr(check.rhs), EvalContext(n, ring)),
+               lambda index: {})
+    elif isinstance(check, CongruenceCheck):
+        cnt = count if count is not None else check.count
+        s, t = check.family
+        need = scan_order(check, count)
+        if family_orders:
+            need = max(need, family_orders.get((s, t, check.modulus), 0))
+        family = family_series(s, t, check.modulus, need)
+
+        def progression(step: int, offset: int) -> TruncatedSeries:
+            # a slice, not extract(): an offset may exceed its step here
+            return TruncatedSeries(family.ring, family.coeffs[offset::step][:cnt])
+
+        a1, b1 = check.lhs
+        rhs = (TruncatedSeries.zero(family.ring, cnt) if check.rhs is None
+               else progression(*check.rhs).scalar_mul(check.multiplier))
+        yield (progression(a1, b1), rhs,
+               lambda index: {"coefficient_index": a1 * index + b1})
+    else:
+        n = order if order is not None else check.order
+        for p in check.primes:
+            ring = mod_ring(p)
+            yield (euler_f(p, n, ring), euler_f(1, n, ring) ** p,
+                   lambda index, p=p: {"prime": p})
+
+
+def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
+             note: str | None = None, **settings) -> VerificationReport:
+    """Compare the series pairs of each check in turn, coefficient by
+    coefficient, and report the first mismatch.
+
+    ``settings`` (order, count, family_orders) go to :func:`_pairs`.  A
+    pair is compared on the order both sides reach; the reported order
+    is the smallest such order, or the failing pair's.  ``perturb`` adds
+    one to that coefficient of every right-hand side, so a sound check
+    fails there; it must lie below the compared order.  An evaluation
+    error is reported as a mismatch at index -1.  When there are several
+    checks, a mismatch names the failing one as ``link``.
+    """
+    t0 = time.perf_counter()
+    checked = None
+    mismatch = None
+    for check in checks:
+        try:
+            for lhs, rhs, extra in _pairs(check, **settings):
+                n = min(lhs.order, rhs.order)
+                if perturb is not None:
+                    if perturb >= n:
+                        raise ValueError(f"perturb must be below the compared "
+                                         f"order {n}, got {perturb}")
+                    coeffs = list(rhs.coeffs)
+                    coeffs[perturb] += 1
+                    rhs = TruncatedSeries(rhs.ring, coeffs)
+                diff = lhs.first_mismatch(rhs)
+                if diff is not None:
+                    index, lv, rv = diff
+                    mismatch = {"index": index, "lhs": lv, "rhs": rv,
+                                **extra(index)}
+                    checked = n
+                    break
+                checked = n if checked is None else min(checked, n)
+        except (SeriesError, QSyntaxError, EvalError) as exc:
+            mismatch = {"index": -1, "lhs": None, "rhs": None,
+                        "error": str(exc)}
+            checked = 0
+        if mismatch is not None:
+            if len(checks) > 1:
+                mismatch["link"] = check.name
+            break
+    millis = (time.perf_counter() - t0) * 1000.0
+    return VerificationReport(name, "pass" if mismatch is None else "fail",
+                              checked or 0, mismatch, millis, note)
+
+
+def check_identity(check: IdentityCheck, order: int | None = None,
+                   perturb: int | None = None) -> VerificationReport:
+    """Evaluate both sides of an identity and compare coefficientwise."""
+    _require_in_range(order=order, perturb=perturb)
+    return _compare(check.name, (check,), perturb, order=order)
+
+
 def check_congruence(check: CongruenceCheck, count: int | None = None,
                      perturb: int | None = None,
                      family_orders: FamilyOrders | None = None
@@ -277,54 +324,16 @@ def check_congruence(check: CongruenceCheck, count: int | None = None,
     The family is built to at least the order ``family_orders`` plans for
     it (see :func:`plan_family_orders`).
     """
-    _require_positive(count=count)
-    t0 = time.perf_counter()
-    cnt = count if count is not None else check.count
-    s, t_idx = check.family
-    m = check.modulus
-    a1, b1 = check.lhs
-    a2, b2 = check.rhs or (0, 0)
-    need = scan_order(check, count)
-    if family_orders:
-        need = max(need, family_orders.get((s, t_idx, m), 0))
-    series = family_series(s, t_idx, m, need)
-    coeffs = series.coeffs
-    c = check.multiplier % m
-    for n in range(cnt):
-        lv = coeffs[a1 * n + b1]
-        rv = c * coeffs[a2 * n + b2] % m if check.rhs is not None else 0
-        if perturb is not None and n == perturb:
-            rv = (rv + 1) % m
-        if lv != rv:
-            millis = (time.perf_counter() - t0) * 1000.0
-            return VerificationReport(
-                check.name, "fail", cnt,
-                {"index": n, "lhs": lv, "rhs": rv,
-                 "coefficient_index": a1 * n + b1}, millis)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(check.name, "pass", cnt, None, millis)
+    _require_in_range(count=count, perturb=perturb)
+    return _compare(check.name, (check,), perturb, count=count,
+                    family_orders=family_orders)
 
 
 def check_binomial(check: BinomialCheck, order: int | None = None,
                    perturb: int | None = None) -> VerificationReport:
     """Check f_p = f_1^p coefficientwise mod p for each configured prime."""
-    t0 = time.perf_counter()
-    n = order if order is not None else check.order
-    for i, p in enumerate(check.primes):
-        ring = mod_ring(p)
-        lhs = euler_f(p, n, ring)
-        rhs = euler_f(1, n, ring) ** p
-        if perturb is not None and i == 0:
-            rhs = _bump(rhs, perturb)
-        diff = lhs.first_mismatch(rhs)
-        if diff is not None:
-            index, lv, rv = diff
-            millis = (time.perf_counter() - t0) * 1000.0
-            return VerificationReport(
-                check.name, "fail", n,
-                {"index": index, "lhs": lv, "rhs": rv, "prime": p}, millis)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(check.name, "pass", n, None, millis)
+    _require_in_range(order=order, perturb=perturb)
+    return _compare(check.name, (check,), perturb, order=order)
 
 
 def run_item(item: RegistryItem, order: int | None = None,
@@ -338,28 +347,9 @@ def run_item(item: RegistryItem, order: int | None = None,
     the failing link's name.  ``family_orders`` is the run's plan from
     :func:`plan_family_orders`, passed on to every scan.
     """
-    _require_positive(order=order, count=count)
-    t0 = time.perf_counter()
-    min_order: int | None = None
-    for check in item.checks:
-        if isinstance(check, IdentityCheck):
-            rep = check_identity(check, order=order, perturb=perturb)
-        elif isinstance(check, CongruenceCheck):
-            rep = check_congruence(check, count=count, perturb=perturb,
-                                   family_orders=family_orders)
-        else:
-            rep = check_binomial(check, order=order, perturb=perturb)
-        if rep.status != "pass":
-            mismatch = dict(rep.mismatch or {})
-            if len(item.checks) > 1:
-                mismatch["link"] = check.name
-            return VerificationReport(item.id, "fail", rep.order, mismatch,
-                                      (time.perf_counter() - t0) * 1000.0,
-                                      item.note)
-        min_order = rep.order if min_order is None else min(min_order, rep.order)
-    millis = (time.perf_counter() - t0) * 1000.0
-    return VerificationReport(item.id, "pass", min_order or 0, None, millis,
-                              item.note)
+    _require_in_range(order=order, count=count, perturb=perturb)
+    return _compare(item.id, item.checks, perturb, item.note, order=order,
+                    count=count, family_orders=family_orders)
 
 
 # --------------------------------------------------------------------------
@@ -655,7 +645,7 @@ def select_items(filter_text: str | None) -> list[RegistryItem]:
 def run_registry(filter_text: str | None = None, order: int | None = None,
                  count: int | None = None) -> RegistryRun:
     """Run all (or filtered) registry items, reports ordered by id."""
-    _require_positive(order=order, count=count)
+    _require_in_range(order=order, count=count)
     run = RegistryRun()
     items = select_items(filter_text)
     if not items:

@@ -127,7 +127,13 @@ def test_sensitivity_controls():
         else:
             kwargs["order"] = 50
         rep = run_item(item, **kwargs)
-        if rep.status != "fail" or rep.mismatch.get("index") != 2:
+        # scans name the coefficient, eq-k1 the prime, multi-check items the link
+        keys = ["index", "lhs", "rhs"]
+        keys += {"scan": ["coefficient_index"], "binomial": ["prime"]}.get(
+            item.kind, [])
+        keys += ["link"] if len(item.checks) > 1 else []
+        if (rep.status != "fail" or rep.mismatch.get("index") != 2
+                or list(rep.mismatch) != keys):
             bad.append((item_id, rep.status, rep.mismatch))
     # a progression nobody claims: residues must actually be nonzero
     series = family_series(2, 15, 5, 9 * 49 + 7 + 1)

@@ -64,6 +64,12 @@ class TestExpand:
         assert len(err) == 1 and "warning" in err[0] and repr(raw) in err[0]
 
 
+@pytest.mark.parametrize("expr", ["a(q^100000000000)", "A(q^100000000000)"])
+def test_huge_power_substitution_is_truncated(capsys, expr):
+    assert main(["expand", expr, "--order", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.strip() == "1 0 0 0 0"
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "q" + ")" * 400,
     "f1*" * 2999 + "q",

@@ -1,3 +1,6 @@
+import json
+import os
+
 import pytest
 
 import qseries.verify as verify_mod
@@ -14,7 +17,6 @@ from qseries.verify import (
     IdentityCheck,
     check_congruence,
     check_identity,
-    check_vanishing,
     plan_family_orders,
     registry_ids,
     run_item,
@@ -132,30 +134,6 @@ class TestCheckIdentity:
         assert "error" in rep.mismatch
 
 
-class TestCheckVanishing:
-    def test_known_progression(self):
-        series = bipartition_series(2, 15, 9 * 50 + 9, mod_ring(5))
-        rep = check_vanishing(series, 9, 8, 50)
-        assert rep.status == "pass"
-        assert rep.order == 50
-
-    def test_all_zero_input(self):
-        rep = check_vanishing(TruncatedSeries.zero(mod_ring(7), 100), 9, 5, 10)
-        assert rep.status == "pass"
-
-    def test_nonzero_detected(self):
-        series = TruncatedSeries(mod_ring(5), [0] * 40 + [3] + [0] * 40)
-        rep = check_vanishing(series, 8, 0, 10)
-        assert rep.status == "fail"
-        assert rep.mismatch["index"] == 5
-        assert rep.mismatch["coefficient_index"] == 40
-        assert rep.mismatch["lhs"] == 3
-
-    def test_insufficient_order(self):
-        with pytest.raises(ValueError):
-            check_vanishing(TruncatedSeries.zero(mod_ring(5), 10), 9, 8, 50)
-
-
 class TestCheckCongruence:
     def test_multiplier_family(self):
         check = CongruenceCheck("b3", (2, 15), (27, 23), (3, 2), 5, 200,
@@ -174,6 +152,21 @@ class TestCheckCongruence:
         rep = check_congruence(check)
         assert rep.status == "fail"
         assert rep.mismatch["lhs"] != 0
+        assert rep.mismatch["coefficient_index"] == 9 * rep.mismatch["index"] + 7
+
+    @pytest.mark.parametrize("coeffs, mismatch", [
+        ([0] * 100, None),
+        ([0] * 40 + [3] + [0] * 40,
+         {"index": 5, "lhs": 3, "rhs": 0, "coefficient_index": 40}),
+    ], ids=["all-zero", "one-nonzero"])
+    def test_scan_of_a_given_series(self, monkeypatch, coeffs, mismatch):
+        # the cache hands this series to the scan as the (2, 15) family mod 5
+        given = TruncatedSeries(mod_ring(5), coeffs)
+        monkeypatch.setattr(verify_mod, "_family_cache", {(2, 15, 5): given})
+        check = CongruenceCheck("given", (2, 15), (8, 0), None, 5, 10)
+        rep = check_congruence(check)
+        assert (rep.status, rep.order, rep.mismatch) == \
+            ("pass" if mismatch is None else "fail", 10, mismatch)
 
     def test_perturbation_fails_at_position(self):
         check = CongruenceCheck("b1", (2, 15), (9, 8), None, 5, 50)
@@ -182,8 +175,11 @@ class TestCheckCongruence:
         assert rep.mismatch["index"] == 11
 
     def test_progression_validation(self):
-        with pytest.raises(ValueError):
-            CongruenceCheck("bad", (2, 15), (0, 8), None, 5, 10)
+        for lhs, rhs, side in [((0, 8), None, "left"),
+                               ((9, 8), (0, 2), "right"),
+                               ((9, 8), (3, -1), "right")]:
+            with pytest.raises(ValueError, match=f"^{side} progression"):
+                CongruenceCheck("bad", (2, 15), lhs, rhs, 5, 10)
 
 
 @pytest.fixture
@@ -239,6 +235,28 @@ class TestRunItem:
             run_item(REGISTRY[item_id], **{name: 0})
         assert family_builds == []
 
+    @pytest.mark.parametrize("item_id, setting", [
+        ("eq-2k", {"order": 50}),      # identity
+        ("b215-chain", {"order": 50}),  # chain
+        ("b215-b1", {"count": 10}),     # scan
+        ("eq-k1", {"order": 50}),      # binomial
+    ])
+    def test_perturb_must_lie_in_compared_range(self, item_id, setting,
+                                                family_builds):
+        item = REGISTRY[item_id]
+        with pytest.raises(ValueError,
+                           match="^perturb must be at least 0, got -1$"):
+            run_item(item, perturb=-1, **setting)
+        assert family_builds == []
+        (_, n), = setting.items()
+        for perturb in (n, 100):
+            with pytest.raises(ValueError, match=(
+                    f"^perturb must be below the compared order {n}, "
+                    f"got {perturb}$")):
+                run_item(item, perturb=perturb, **setting)
+        rep = run_item(item, perturb=n - 1, **setting)
+        assert (rep.status, rep.mismatch["index"]) == ("fail", n - 1)
+
     def test_congruence_count_checked_before_build(self, family_builds):
         with pytest.raises(ValueError, match="^count must be at least 1"):
             check_congruence(REGISTRY["b215-b1"].checks[0], count=0)
@@ -289,6 +307,13 @@ class TestRunRegistry:
         by_id = {r.id: r for r in run.reports}
         assert by_id["b215-chain"].order >= 100
         assert by_id["eq-k1"].order == 500
+        # the reports the program gave when the benchmark was defined
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "reference.json")
+        with open(path) as fh:
+            reference = json.load(fh)["registry"]
+        assert [[r.id, r.status, r.order, r.mismatch, r.note]
+                for r in run.reports] == reference
 
 
 class TestCrossChecks:
