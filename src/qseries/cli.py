@@ -27,6 +27,7 @@ from .verify import family_series, plan_family_orders, run_item, select_items
 
 # A scan needs the family series out to step*count + offset coefficients;
 # beyond this cap the dense table stops being a reasonable in-memory object.
+# It bounds both `scan` and the scans of `verify --count`.
 SCAN_ORDER_CAP = 2_000_000
 
 EXIT_OK = 0
@@ -56,6 +57,15 @@ def _bad_option(flag: str, value: int | None, least: int) -> bool:
     if value is None or value >= least:
         return False
     print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
+    return True
+
+
+def _over_scan_cap(need: int) -> bool:
+    """Report a family series order above SCAN_ORDER_CAP on stderr."""
+    if need <= SCAN_ORDER_CAP:
+        return False
+    print(f"error: scan needs series order {need}, above the cap of "
+          f"{SCAN_ORDER_CAP}; lower the count", file=sys.stderr)
     return True
 
 
@@ -114,7 +124,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RecursionError:
-        # parsing and evaluation recurse once per nesting level
+        # parsing, and evaluating a sum, recurse once per nesting level
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.format == "json":
@@ -149,10 +159,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"warning: no registry items match filter {args.filter!r}",
               file=sys.stderr)
         return EXIT_UNKNOWN_FILTER
+    plan = plan_family_orders(items, args.count)
+    if _over_scan_cap(max(plan.values(), default=0)):
+        return EXIT_SCAN_BUDGET
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
     passed = 0
-    plan = plan_family_orders(items, args.count)
     # items run in id order, so streaming keeps the output sorted
     for item in items:
         rep = run_item(item, order=args.order, count=args.count,
@@ -178,9 +190,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     need = p * (count - 1) + r + 1
-    if need > SCAN_ORDER_CAP:
-        print(f"error: scan needs series order {need}, above the cap of "
-              f"{SCAN_ORDER_CAP}; lower the count", file=sys.stderr)
+    if _over_scan_cap(need):
         return EXIT_SCAN_BUDGET
     series = family_series(s, t, m, need)
     residues = [series.coeffs[p * n + r] for n in range(count)]

@@ -29,7 +29,8 @@ always written with its argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import NamedTuple, Union
 
@@ -424,68 +425,140 @@ def _septic_cached(order: int, modulus: int):
     return qfunctions.septic_ABC(order, ring)
 
 
-# The septic quotients are A, B, C = f(-q^a, -q^b) / f_2 for these (a, b).
-_SEPTIC_THETA = {"A": (3, 4), "B": (2, 5), "C": (1, 6)}
+def _atom(node: QExpr) -> int | tuple[int, int] | QExpr | None:
+    """The record key of f_k (k), theta(a,b) ((a, b)) or a septic
+    quotient (its node); None for any other node, or a malformed atom."""
+    if isinstance(node, Euler) and node.k >= 1:
+        return node.k
+    if isinstance(node, Theta) and node.a >= 1 and node.b >= 1:
+        return (node.a, node.b)
+    septic = node.child if isinstance(node, Subst) and node.k >= 1 else node
+    if (isinstance(septic, Septic)
+            and septic.letter in qfunctions.SEPTIC_THETA):
+        return node
+    return None
 
 
-def _divide(num: TruncatedSeries | None, den: QExpr, p: int,
-            ctx: EvalContext) -> TruncatedSeries:
-    """num / den^p, or den^-p when num is None, one sparse factor at a time.
+@dataclass(frozen=True)
+class _Quotient:
+    """The record c * q^a * prod(rest) * prod atom^e, known to an order.
 
-    The divisor's Mul and positive-Pow nodes are walked without recursion.
-    Euler products, thetas and septic quotients (at any q^k) have
-    constant term 1 and few nonzero terms, so each is divided out by its
-    own quotient recurrence; every other factor is multiplied into one
-    remaining divisor, divided out first (or, for den^-p, inverted before
-    the p-th power), as when the divisor was evaluated whole.  Each sparse
-    quotient is unique, so the result and any error are the same as that
-    evaluation's, in Z and in every Z/m.
+    ``atoms`` maps the key of each Euler product, theta and septic
+    quotient to its signed exponent; ``rest`` holds every other factor.
+    Each atom has constant term 1, so the value has the valuation and
+    lowest coefficient of its plain part c * q^a * prod(rest): dividing
+    by it, or inverting it, fails or shortens the order exactly as for
+    the plain part.  c may be any representative of its residue.
+    """
+
+    c: int
+    a: int
+    order: int
+    rest: tuple[TruncatedSeries, ...] = ()
+    atoms: dict = field(default_factory=dict)
+
+    def unit(self, ring: CoefficientRing) -> bool:
+        """Whether the plain part is a unit, so dividing by it can fail
+        no check and keeps the order."""
+        return not self.rest and not self.a and ring.is_unit(self.c)
+
+    def times(self, other: _Quotient) -> _Quotient:
+        atoms = Counter(self.atoms)
+        atoms.update(other.atoms)
+        return _Quotient(self.c * other.c, self.a + other.a,
+                         min(self.order, other.order),
+                         self.rest + other.rest, atoms)
+
+    def over(self, other: _Quotient, ring: CoefficientRing) -> _Quotient:
+        if other.unit(ring):
+            return self.times(other.power(-1, ring))
+        rest = self.plain(ring).divide(other.plain(ring))
+        atoms = Counter(self.atoms)
+        atoms.subtract(other.atoms)
+        return _Quotient(1, 0, rest.order, (rest,), atoms)
+
+    def power(self, p: int, ring: CoefficientRing) -> _Quotient:
+        atoms = {key: e * p for key, e in self.atoms.items()}
+        if p < 0 and not self.unit(ring):
+            rest = self.plain(ring).invert() ** -p
+            return _Quotient(1, 0, self.order, (rest,), atoms)
+        c = pow(self.c if p >= 0 else ring.inverse(self.c), abs(p),
+                ring.modulus or None)
+        return _Quotient(c, self.a * p, self.order,
+                         tuple(f ** p for f in self.rest), atoms)
+
+    def plain(self, ring: CoefficientRing) -> TruncatedSeries:
+        """The plain part c * q^a * prod(rest) as a series."""
+        return replace(self, atoms={}).series(ring)
+
+    def series(self, ring: CoefficientRing) -> TruncatedSeries:
+        """The value, by the planner :func:`qfunctions.eta_quotient`."""
+        n = self.order - self.a
+        if n < 1:
+            return TruncatedSeries.zero(ring, self.order)
+        factors = list(self.rest)
+        exponents: Counter = Counter()
+        for key, e in self.atoms.items():
+            if isinstance(key, (int, tuple)):
+                exponents[key] += e
+            elif e > 0:  # a septic quotient keeps its own value
+                septic = evaluate(key, EvalContext(self.order, ring))
+                factors.append(septic ** e)
+            elif e:  # and in the denominator is theta(ka, kb) / f_2k
+                k, septic = ((key.k, key.child) if isinstance(key, Subst)
+                             else (1, key))
+                a, b = qfunctions.SEPTIC_THETA[septic.letter]
+                exponents[k * a, k * b] += e
+                exponents[2 * k] -= e
+        result = qfunctions.eta_quotient(exponents, n, ring, factors)
+        if self.c != 1:
+            result = result.scalar_mul(self.c)
+        return result.shift(self.a) if self.a else result
+
+
+def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
+    """Evaluate a Mul/Div/Pow/Neg tree as one record, without recursion.
+
+    Euler products, thetas, septic quotients, integers and q are read
+    into the record, and the sign of a negated factor into c; any other
+    subtree is evaluated whole into rest.  Nodes combine in the order a
+    bottom-up evaluation visits them, so the series, its order and any
+    error, with the node it names, are those of evaluating every node
+    whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
-    euler: dict[int, int] = {}    # k -> exponent of f_k
-    theta: dict[tuple[int, int], list] = {}  # (a, b) -> [series, exponent]
-    septic_f: dict[int, int] = {}  # 2k -> exponent of f_2k, from A, B, C(q^k)
-    rest = None
-    stack = [(den, 1)]
+    values: list[_Quotient] = []
+    stack: list[tuple[QExpr, bool]] = [(root, False)]
     while stack:
-        node, e = stack.pop()
-        if isinstance(node, Mul):
-            stack += ((node.right, e), (node.left, e))
-            continue
-        if isinstance(node, Pow) and node.exponent > 0:
-            stack.append((node.base, e * node.exponent))
-            continue
-        k, atom = (node.k, node.child) if isinstance(node, Subst) else (1, node)
-        if isinstance(node, Euler):
-            euler[node.k] = euler.get(node.k, 0) + e
-            continue
-        if isinstance(atom, Septic):
-            septic_f[2 * k] = septic_f.get(2 * k, 0) + e
-            key = tuple(k * x for x in _SEPTIC_THETA[atom.letter])
-        elif isinstance(node, Theta):
-            key = (node.a, node.b)
+        node, ready = stack.pop()
+        if ready:
+            x = values.pop()
+            try:
+                if isinstance(node, Neg):
+                    x = replace(x, c=-x.c)
+                elif isinstance(node, Pow):
+                    x = x.power(node.exponent, ring)
+                elif isinstance(node, Mul):
+                    x = values.pop().times(x)
+                else:
+                    x = values.pop().over(x, ring)
+            except SeriesError as exc:
+                raise EvalError(str(exc), to_text(node)) from exc
+            values.append(x)
+        elif isinstance(node, (Mul, Div)):
+            stack += ((node, True), (node.right, False), (node.left, False))
+        elif isinstance(node, (Pow, Neg)):
+            child = node.base if isinstance(node, Pow) else node.child
+            stack += ((node, True), (child, False))
+        elif isinstance(node, (IntLit, QVar)):
+            values.append(_Quotient(1, 1, n) if isinstance(node, QVar)
+                          else _Quotient(node.value, 0, n))
         else:
-            factor = evaluate(node, ctx) ** e
-            rest = factor if rest is None else rest * factor
-            continue
-        if key not in theta:
-            # built at first sight: an invalid theta raises before any
-            # later factor is evaluated
-            theta[key] = [qfunctions.ramanujan_theta(key, n, ring), 0]
-        theta[key][1] += e
-    if num is None:
-        num = (TruncatedSeries.one(ring, n) if rest is None
-               else rest.invert() ** p)
-    elif rest is not None:
-        num = num.divide(rest)
-    for k, e in septic_f.items():
-        num = num * qfunctions.euler_f(k, num.order, ring) ** (e * p)
-    for k, e in euler.items():
-        num = qfunctions.divide_euler_power(num, k, e * p)
-    for series, e in theta.values():
-        for _ in range(e * p):
-            num = num.divide(series)
-    return num
+            key = _atom(node)
+            values.append(_Quotient(1, 0, n, (evaluate(node, ctx),))
+                          if key is None
+                          else _Quotient(1, 0, n, atoms={key: 1}))
+    return values[0].series(ring)
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
@@ -513,20 +586,12 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
         if isinstance(e, Subst):
             inner = evaluate(e.child, EvalContext(-(-n // e.k), ring))
             return inner.substitute_power(e.k, cap=n)
-        if isinstance(e, Neg):
-            return -evaluate(e.child, ctx)
+        if isinstance(e, (Mul, Div, Pow, Neg)):
+            return _product(e, ctx)
         if isinstance(e, Add):
             return evaluate(e.left, ctx) + evaluate(e.right, ctx)
         if isinstance(e, Sub):
             return evaluate(e.left, ctx) - evaluate(e.right, ctx)
-        if isinstance(e, Mul):
-            return evaluate(e.left, ctx) * evaluate(e.right, ctx)
-        if isinstance(e, Div):
-            return _divide(evaluate(e.left, ctx), e.right, 1, ctx)
-        if isinstance(e, Pow):
-            if e.exponent < 0:
-                return _divide(None, e.base, -e.exponent, ctx)
-            return evaluate(e.base, ctx) ** e.exponent
     except EvalError:
         raise
     except SeriesError as exc:

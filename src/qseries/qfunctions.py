@@ -9,6 +9,9 @@ Everything here is built from three primitive expansions:
 * the cubic theta a(q) = sum over the triangular lattice of
   q^(m^2 + m*n + n^2).
 
+Every product and quotient of Euler products and thetas, named or
+parsed, is evaluated by one planner, :func:`eta_quotient`.
+
 Note on conventions: the one-argument "f(-q^k)" that appears alongside
 two-argument thetas denotes the Euler product (q^k;q^k)_inf and is
 produced by :func:`euler_f`, not by :func:`ramanujan_theta`.
@@ -16,8 +19,12 @@ produced by :func:`euler_f`, not by :func:`ramanujan_theta`.
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import reduce
+from itertools import chain
 from math import isqrt
-from typing import NamedTuple
+from operator import mul
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .series import EXACT, CoefficientRing, TruncatedSeries
 
@@ -76,34 +83,11 @@ def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSe
     return TruncatedSeries(ring, coeffs)
 
 
-def divide_euler_power(num: TruncatedSeries, k: int, p: int) -> TruncatedSeries:
-    """num / f_k^p, divided out one lacunary factor at a time.
-
-    p // 3 quotient recurrences run over the Jacobi cube f_k^3 and p % 3
-    over f_k, instead of one over the dense f_k^p.  Every divisor has
-    constant term 1, so the quotient is the unique one: the same series,
-    to the same order, as num.divide(euler_f(k, ...) ** p), in Z and in
-    every Z/m.
-    """
-    n, ring = num.order, num.ring
-    if p >= 3:
-        cube = euler_cube(k, n, ring)
-        for _ in range(p // 3):
-            num = num.divide(cube)
-    if p % 3:
-        f = euler_f(k, n, ring)
-        for _ in range(p % 3):
-            num = num.divide(f)
-    return num
-
-
 def pk_series(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """The k-th power f_1^k; k = -1 gives the partition numbers p(n)."""
     if k == 0:
         raise ValueError("power index must be nonzero")
-    if k < 0:
-        return divide_euler_power(TruncatedSeries.one(ring, order), 1, -k)
-    return euler_f(1, order, ring) ** k
+    return eta_quotient({1: k}, order, ring)
 
 
 def ramanujan_theta(spec: ThetaSpec | tuple[int, int], order: int,
@@ -138,6 +122,10 @@ def ramanujan_theta(spec: ThetaSpec | tuple[int, int], order: int,
     return TruncatedSeries(ring, coeffs)
 
 
+# The septic quotients A, B, C are f(-q^a, -q^b) / f_2 for these (a, b).
+SEPTIC_THETA = {"A": (3, 4), "B": (2, 5), "C": (1, 6)}
+
+
 def septic_ABC(order: int, ring: CoefficientRing = EXACT
                ) -> tuple[TruncatedSeries, TruncatedSeries, TruncatedSeries]:
     """The three theta quotients driving the 7-dissection of f_1:
@@ -147,10 +135,8 @@ def septic_ABC(order: int, ring: CoefficientRing = EXACT
 
     All three have constant term 1.
     """
-    den = euler_f(2, order, ring)
-    a = ramanujan_theta((3, 4), order, ring).divide(den)
-    b = ramanujan_theta((2, 5), order, ring).divide(den)
-    c = ramanujan_theta((1, 6), order, ring).divide(den)
+    a, b, c = (eta_quotient({spec: 1, 2: -1}, order, ring)
+               for spec in SEPTIC_THETA.values())
     return a, b, c
 
 
@@ -181,7 +167,7 @@ def regular_series(ell: int, order: int,
     """Generating function of ell-regular partitions: f_ell / f_1."""
     if ell <= 1:
         raise ValueError(f"regularity index must exceed 1, got {ell}")
-    return euler_f(ell, order, ring).divide(euler_f(1, order, ring))
+    return eta_quotient({ell: 1, 1: -1}, order, ring)
 
 
 def bipartition_series(s: int, t: int, order: int,
@@ -190,17 +176,57 @@ def bipartition_series(s: int, t: int, order: int,
 
     Coefficient n counts pairs (lambda, mu) with |lambda| + |mu| = n,
     lambda s-regular and mu t-regular.
-
-    Built as f_s f_t f_1 / f_1^3 with one quotient recurrence over the
-    Jacobi cube (:func:`euler_cube`), which is sparser than f_1, instead
-    of two over f_1.  The numerator is multiplied out over Z, where its
-    coefficients stay small, and reduced once.  The divisor has constant
-    term 1, so the quotient is exact and equals f_s f_t / f_1^2 in Z and
-    in every Z/m.
     """
     if s <= 1 or t <= 1:
         raise ValueError(f"regularity indices must exceed 1, got ({s}, {t})")
-    num = euler_f(s, order) * euler_f(t, order) * euler_f(1, order)
-    if ring.modulus:
-        num = num.reduce_mod(ring.modulus)
-    return divide_euler_power(num, 1, 3)
+    return eta_quotient({**Counter((s, t)), 1: -2}, order, ring)
+
+
+def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
+                 ring: CoefficientRing = EXACT,
+                 factors: Sequence[TruncatedSeries] = ()) -> TruncatedSeries:
+    """prod(factors) * prod f_k^e * prod f(-q^a, -q^b)^e, truncated.
+
+    ``exponents`` maps k to the signed exponent of the Euler product f_k
+    and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
+    numerator series, each known at least to ``order``.
+
+    The positive part is multiplied out in the ring.  The negative part
+    is divided out one lacunary factor at a time: f_k^-e by e // 3
+    quotient recurrences over the Jacobi cube f_k^3 (:func:`euler_cube`),
+    which is sparser than f_k, and then one over f_k when e % 3 == 1, or,
+    when e % 3 == 2, one more over the cube after one more factor f_k in
+    the numerator.  Every divisor has constant term 1, so each quotient
+    is the unique one: the result is the same series, to the same order,
+    as the whole quotient, in Z and in every Z/m.
+    """
+    # (constructor, key, power) of each numerator atom, and (constructor,
+    # key, count) of each divisor; each series is built only when used,
+    # so no more than one atom is held besides the running result.
+    num: list[tuple[Callable, int | tuple[int, int], int]] = []
+    den: list[tuple[Callable, int | tuple[int, int], int]] = []
+    for key, e in exponents.items():
+        atom = ramanujan_theta if isinstance(key, tuple) else euler_f
+        if e > 0:
+            num.append((atom, key, e))
+        elif e < 0 and atom is ramanujan_theta:
+            den.append((atom, key, -e))
+        elif e < 0:
+            cubes, rest = divmod(-e, 3)
+            if rest == 2:  # f_k^-2 = f_k / f_k^3
+                num.append((euler_f, key, 1))
+                cubes += 1
+            elif rest:
+                den.append((euler_f, key, 1))
+            if cubes:
+                den.append((euler_cube, key, cubes))
+    up = chain((f.truncate(order) for f in factors),
+               (atom(key, order, ring) ** e for atom, key, e in num))
+    result = reduce(mul, up, next(up, None))
+    if result is None:
+        result = TruncatedSeries.one(ring, order)
+    for atom, key, count in den:
+        divisor = atom(key, order, ring)
+        for _ in range(count):
+            result = result.divide(divisor)
+    return result

@@ -48,13 +48,6 @@ class CoefficientRing:
         if self.modulus < 0 or self.modulus == 1:
             raise ValueError(f"modulus must be 0 or >= 2, got {self.modulus}")
 
-    @property
-    def exact(self) -> bool:
-        return self.modulus == 0
-
-    def normalize(self, v: int) -> int:
-        return v % self.modulus if self.modulus else v
-
     def is_unit(self, v: int) -> bool:
         if self.modulus == 0:
             return v in (1, -1)
@@ -284,9 +277,6 @@ class TruncatedSeries:
                 return i
         return None
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
     def first_mismatch(self, other: TruncatedSeries) -> tuple[int, int, int] | None:
         """First index below min(order) where the two series differ.
 
@@ -415,6 +405,15 @@ class TruncatedSeries:
         return NotImplemented
 
     def __pow__(self, e: int) -> TruncatedSeries:
+        """self**e; a negative e inverts densely, then raises to -e.
+
+        The inverse of a lacunary series is dense, so a negative power of
+        an Euler product is slow: euler_f(1, 3500) ** -12 takes about
+        2.2 s on a 2-core Xeon with CPython 3.11.  For eta quotients the
+        sparse route is qfunctions.pk_series(-12, 3500) or
+        evaluate_text("f1^-12", 3500), which divide by Jacobi's f_1^3
+        four times (about 0.15 s).
+        """
         if not isinstance(e, int):
             raise TypeError("series exponent must be an integer")
         if e < 0:

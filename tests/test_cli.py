@@ -12,6 +12,7 @@ from qseries.cli import (
     SCAN_ORDER_CAP,
     main,
 )
+from qseries.qfunctions import euler_f
 
 
 class TestExpand:
@@ -72,14 +73,21 @@ def test_huge_power_substitution_is_truncated(capsys, expr):
 
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "q" + ")" * 400,
-    "f1*" * 2999 + "q",
-], ids=["400-nested-parentheses", "3000-factor-product"])
+    "q+" * 2999 + "q",
+], ids=["400-nested-parentheses", "3000-term-sum"])
 def test_deeply_nested_expression_exit(capsys, expr):
     assert main(["expand", "--order", "5", "--", expr]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_long_flat_product_expands(capsys):
+    # a product is read into one record without recursion, however long
+    assert main(["expand", "--order", "5", "--", "f1*" * 2999 + "q"]) == EXIT_OK
+    want = (euler_f(1, 5) ** 2999).shift(1, cap=5).coeffs
+    assert capsys.readouterr().out.split() == [str(c) for c in want]
 
 
 @pytest.mark.parametrize("argv", [
@@ -136,6 +144,22 @@ class TestVerify:
     def test_chain_item_passes(self, capsys):
         assert main(["verify", "--filter", "b711-chain-11",
                      "--order", "60"]) == EXIT_OK
+
+    def test_count_over_scan_cap_builds_nothing(self, capsys, monkeypatch):
+        # the plan asks for B_{27,11} mod 11 to order 242,999,959
+        import qseries.verify as verify_mod
+
+        def fail(*args, **kwargs):
+            raise AssertionError("built a family past the cap")
+
+        monkeypatch.setattr(verify_mod, "bipartition_series", fail)
+        assert main(["verify", "--filter", "b2711-m5",
+                     "--count", "1000000"]) == EXIT_SCAN_BUDGET
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert "242999959" in err[0] and str(SCAN_ORDER_CAP) in err[0]
 
     def test_failure_exit_code(self, capsys, monkeypatch):
         # shrink a scan so it still runs, then break it via a fake registry

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+from math import isqrt
 
 import pytest
 
@@ -323,6 +324,123 @@ class TestDivisorPlanner:
         got = evaluate_text("1/(" + "f1*" * 2999 + "f2)", n)
         den = euler_f(1, n) ** 2999 * euler_f(2, n)
         assert got == TruncatedSeries.one(EXACT, n).divide(den)
+
+
+def _random_leaf(rng):
+    """An atom the record reads (Euler product, theta, septic quotient,
+    integer, q) or, now and then, a factor it evaluates whole."""
+    return rng.choice([
+        Euler(rng.randint(1, 9)), Euler(1), Euler(2),
+        Theta(rng.randint(1, 5), rng.randint(1, 5)),
+        Septic(rng.choice("ABC")), Subst(Septic(rng.choice("ABC")), 2),
+        Subst(Septic(rng.choice("ABC")), 3),
+        IntLit(rng.choice([0, 1, 1, 2, 3, 5, 6, 10])), QVar(),
+        CubicA(), Subst(CubicA(), 2), Add(IntLit(1), QVar()),
+        Sub(Euler(1), Euler(1))])
+
+
+def _random_subtree(rng, depth):
+    """A random Mul/Div/Pow/Neg tree over _random_leaf leaves."""
+    if depth == 0 or rng.random() < 0.25:
+        return _random_leaf(rng)
+    kind = rng.randrange(6)
+    if kind < 2:
+        return Mul(_random_subtree(rng, depth - 1),
+                   _random_subtree(rng, depth - 1))
+    if kind < 4:
+        return Div(_random_subtree(rng, depth - 1),
+                   _random_subtree(rng, depth - 1))
+    if kind == 4:
+        return Neg(_random_subtree(rng, depth - 1))
+    return Pow(_random_subtree(rng, depth - 1), rng.choice([-3, -2, -1, 0,
+                                                            1, 2, 3, 4]))
+
+
+def _whole(node, ctx):
+    """Every product node evaluated whole: its operands as series, then
+    multiplied, divided, powered or negated."""
+    try:
+        if isinstance(node, Mul):
+            return _whole(node.left, ctx) * _whole(node.right, ctx)
+        if isinstance(node, Div):
+            return _whole(node.left, ctx).divide(_whole(node.right, ctx))
+        if isinstance(node, Pow):
+            return _whole(node.base, ctx) ** node.exponent
+        if isinstance(node, Neg):
+            return -_whole(node.child, ctx)
+    except EvalError:
+        raise
+    except SeriesError as exc:
+        raise EvalError(str(exc), to_text(node)) from exc
+    return evaluate(node, ctx)
+
+
+def _named_outcome(compute):
+    """(order, coefficients), or the error's cause type and its whole
+    message, which names the node that raised."""
+    try:
+        got = compute()
+    except EvalError as exc:
+        return type(exc.__cause__), str(exc)
+    return got.order, got.coeffs
+
+
+class TestQuotientRecord:
+    """Whole Mul/Div/Pow/Neg subtrees read into one record against every
+    node evaluated whole."""
+
+    @pytest.mark.parametrize("ring", PLANNER_RINGS, ids=str)
+    def test_random_subtrees_match_whole_evaluation(self, ring):
+        rng = random.Random(2718 + ring.modulus)
+        errors = 0
+        for _ in range(150):
+            tree = _random_subtree(rng, rng.randint(1, 4))
+            ctx = EvalContext(rng.randint(1, 50), ring)
+            want = _named_outcome(lambda: _whole(tree, ctx))
+            got = _named_outcome(lambda: evaluate(tree, ctx))
+            assert got == want, (to_text(tree), ctx)
+            errors += isinstance(want[0], type)
+        assert 10 < errors < 140  # both outcomes are exercised
+
+    @pytest.mark.parametrize("text", [
+        "-(3*q*A(q^2)*theta(2,3))^2/(f1^5*B)",
+        "2*(-q^2*C(q^3)*f4)/(-f1^2)^3*theta(1,4)^-2",
+        "(-1)^3*q*A/A*B^2/(C(q^2)*f2^-1)",
+    ])
+    @pytest.mark.parametrize("ring", PLANNER_RINGS, ids=str)
+    def test_signed_numerators(self, ring, text):
+        ctx = EvalContext(70, ring)
+        tree = parse_expr(text)
+        assert _named_outcome(lambda: evaluate(tree, ctx)) == \
+            _named_outcome(lambda: _whole(tree, ctx))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 40])
+    def test_shift_of_a_shortened_factor(self, order):
+        # q/q is known to one coefficient less than q is
+        ctx = EvalContext(order, mod_ring(6))
+        for text in ("q*(q/q)", "q^2*(q/q)*f1", "(q*f1/q)*q/f2^2"):
+            tree = parse_expr(text)
+            assert _named_outcome(lambda: evaluate(tree, ctx)) == \
+                _named_outcome(lambda: _whole(tree, ctx)), text
+
+    def test_negated_divisor_divides_only_by_sparse_factors(self, monkeypatch):
+        n = 3000
+        divisor_terms = []
+        divide = TruncatedSeries.divide
+
+        def counted(num, den):
+            divisor_terms.append(den.order - den.coeffs.count(0))
+            return divide(num, den)
+
+        monkeypatch.setattr(TruncatedSeries, "divide", counted)
+        got = evaluate_text("1/(-f1^6)", n)
+        negated_divisor = divisor_terms[:]
+        divisor_terms.clear()
+        assert got == evaluate_text("-1/f1^6", n)
+        # two divisions by Jacobi's f_1^3, about sqrt(2n) terms each
+        assert negated_divisor == divisor_terms
+        assert len(negated_divisor) == 2
+        assert max(negated_divisor) <= isqrt(2 * n) + 1
 
 
 def test_expand_reference_digests():

@@ -11,7 +11,7 @@ from qseries.oracle import (
 from qseries.qfunctions import (
     bipartition_series,
     borwein_a,
-    divide_euler_power,
+    eta_quotient,
     euler_cube,
     euler_f,
     pk_series,
@@ -84,13 +84,33 @@ class TestPkSeries:
 
 
 class TestDivideEulerPower:
+    """Division by f_k^p through the planner, for p = 0 .. 7: every
+    remainder of p mod 3, so the cube-only, the extra f_k and the
+    f_k-times-one-more-cube plans all run."""
+
     @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
     def test_equals_division_by_the_whole_power(self, ring):
         num = TruncatedSeries(ring, [(7 * i * i - 3) % 23 - 11 for i in range(150)])
         for k in (1, 2, 5):
             for p in range(8):
                 want = num.divide(euler_f(k, 150, ring) ** p)
-                assert divide_euler_power(num, k, p) == want, (k, p)
+                got = eta_quotient({k: -p}, 150, ring, [num])
+                assert got == want, (k, p)
+
+    @pytest.mark.parametrize("ring", ALL_RINGS, ids=str)
+    def test_mixed_quotient_equals_whole_quotient(self, ring):
+        n = 120
+        exponents = {3: 2, 1: -5, (2, 5): -1, 7: -2, (1, 6): 3, 2: -3}
+        whole = TruncatedSeries.one(ring, n)
+        for key, e in exponents.items():
+            atom = (ramanujan_theta(key, n, ring) if isinstance(key, tuple)
+                    else euler_f(key, n, ring))
+            whole = whole * atom ** e if e > 0 else whole.divide(atom ** -e)
+        assert eta_quotient(exponents, n, ring) == whole
+
+    def test_zero_exponents_build_nothing(self):
+        # theta(0, 1) would raise if it were built
+        assert eta_quotient({(0, 1): 0, 1: 0}, 5) == TruncatedSeries.one(EXACT, 5)
 
 
 class TestRamanujanTheta:
