@@ -124,7 +124,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except RecursionError:
-        # parsing, and evaluating a sum, recurse once per nesting level
+        # parsing recurses once per nesting level
         print("error: expression nested too deeply", file=sys.stderr)
         return EXIT_BAD_INPUT
     if args.format == "json":

@@ -357,6 +357,18 @@ def _level(e: QExpr) -> int:
     return _LEVEL_ATOM
 
 
+_INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+
+
+def _left_spine(e: QExpr, kinds: tuple[type, ...]) -> list[QExpr]:
+    """e, e.left, e.left.left, ... while the node is one of kinds."""
+    spine = []
+    while isinstance(e, kinds):
+        spine.append(e)
+        e = e.left
+    return spine
+
+
 def to_text(e: QExpr) -> str:
     """Render a syntax tree back to expression text."""
     def wrap(child: QExpr, strict: bool, parent_level: int) -> str:
@@ -386,18 +398,16 @@ def to_text(e: QExpr) -> str:
         raise ValueError("power substitution only wraps named atoms")
     if isinstance(e, Neg):
         return "-" + wrap(e.child, False, _LEVEL_NEG)
-    if isinstance(e, Add):
-        return (wrap(e.left, False, _LEVEL_ADD) + " + "
-                + wrap(e.right, True, _LEVEL_ADD))
-    if isinstance(e, Sub):
-        return (wrap(e.left, False, _LEVEL_ADD) + " - "
-                + wrap(e.right, True, _LEVEL_ADD))
-    if isinstance(e, Mul):
-        return (wrap(e.left, False, _LEVEL_MUL) + "*"
-                + wrap(e.right, True, _LEVEL_MUL))
-    if isinstance(e, Div):
-        return (wrap(e.left, False, _LEVEL_MUL) + "/"
-                + wrap(e.right, True, _LEVEL_MUL))
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        # a left-leaning chain of one level is rendered along its left
+        # spine, without recursion, however long it is
+        level = _level(e)
+        spine = _left_spine(e, (Add, Sub) if level == _LEVEL_ADD
+                            else (Mul, Div))
+        text = wrap(spine[-1].left, False, level)
+        for node in reversed(spine):
+            text += _INFIX[type(node)] + wrap(node.right, True, level)
+        return text
     if isinstance(e, Pow):
         return wrap(e.base, True, _LEVEL_POW) + f"^{e.exponent}"
     raise TypeError(f"not a QExpr node: {e!r}")
@@ -588,10 +598,15 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return inner.substitute_power(e.k, cap=n)
         if isinstance(e, (Mul, Div, Pow, Neg)):
             return _product(e, ctx)
-        if isinstance(e, Add):
-            return evaluate(e.left, ctx) + evaluate(e.right, ctx)
-        if isinstance(e, Sub):
-            return evaluate(e.left, ctx) - evaluate(e.right, ctx)
+        if isinstance(e, (Add, Sub)):
+            # a left-leaning sum is added up along its left spine, so a
+            # long flat sum needs no recursion
+            spine = _left_spine(e, (Add, Sub))
+            total = evaluate(spine[-1].left, ctx)
+            for node in reversed(spine):
+                right = evaluate(node.right, ctx)
+                total = total + right if isinstance(node, Add) else total - right
+            return total
     except EvalError:
         raise
     except SeriesError as exc:

@@ -20,10 +20,10 @@ produced by :func:`euler_f`, not by :func:`ramanujan_theta`.
 from __future__ import annotations
 
 from collections import Counter
-from functools import reduce
-from itertools import chain
+from functools import partial
+from itertools import groupby
 from math import isqrt
-from operator import mul
+from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .series import EXACT, CoefficientRing, TruncatedSeries
@@ -191,38 +191,85 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
     numerator series, each known at least to ``order``.
 
-    The positive part is multiplied out in the ring.  The negative part
-    is divided out one lacunary factor at a time: f_k^-e by e // 3
-    quotient recurrences over the Jacobi cube f_k^3 (:func:`euler_cube`),
-    which is sparser than f_k, and then one over f_k when e % 3 == 1, or,
-    when e % 3 == 2, one more over the cube after one more factor f_k in
-    the numerator.  Every divisor has constant term 1, so each quotient
-    is the unique one: the result is the same series, to the same order,
-    as the whole quotient, in Z and in every Z/m.
+    Over Z/p with p prime, f_pk^e with e > 0 is first rewritten as
+    f_k^(p*e) wherever f_k has a negative exponent, visiting k in
+    descending order so that one rewrite can feed the next: f_pk = f_k^p
+    (mod p), since (1 - x)^p = 1 - x^p there, and a positive power costs
+    multiplications where a negative one costs quotient recurrences.
+    For composite m the congruence fails (mod 4, f_1^4 = 1 + 2q^2 + ...
+    while f_4 = 1 - q^4 + ...; mod 9, f_1^9 and f_9 differ at q^3), so
+    then nothing is rewritten.
+
+    The positive part is multiplied into the running product one factor
+    at a time, sparsest first (``factors`` included): f_k^e as e // 3
+    Jacobi cubes f_k^3 (:func:`euler_cube`), which are sparser than f_k,
+    and f_k^(e % 3).  The negative part is divided out one lacunary
+    factor at a time: f_k^-e by e // 3 quotient recurrences over the
+    cube, and then one over f_k when e % 3 == 1, or, when e % 3 == 2,
+    one more over the cube after one more factor f_k in the numerator.
+    Every divisor has constant term 1, so each quotient is the unique
+    one: the result is the same series, to the same order, as the whole
+    quotient, in Z and in every Z/m.
     """
-    # (constructor, key, power) of each numerator atom, and (constructor,
-    # key, count) of each divisor; each series is built only when used,
-    # so no more than one atom is held besides the running result.
-    num: list[tuple[Callable, int | tuple[int, int], int]] = []
+    p = ring.modulus
+    exponents = dict(exponents)
+    for k in sorted((k for k in exponents if not isinstance(k, tuple)),
+                    reverse=True):
+        if (p and not k % p and exponents[k] > 0
+                and exponents.get(k // p, 0) < 0
+                and all(p % d for d in range(2, isqrt(p) + 1))):
+            exponents[k // p] += p * exponents.pop(k)
+    # (nonzero terms, builder, power) of each numerator factor, and
+    # (constructor, key, count) of each divisor; each series is built
+    # only when used, so few are held besides the running result.
+    num: list[tuple[int, Callable, int]] = [
+        (order - f.coeffs[:order].count(0), partial(f.truncate, order), 1)
+        for f in factors]
     den: list[tuple[Callable, int | tuple[int, int], int]] = []
+
+    def numerator(atom: Callable, key, power: int, count: int = 1) -> None:
+        # The atom's exponents grow quadratically, so it has about
+        # sqrt(8 * order / s) nonzero terms: s = 3k for f_k, 4k for the
+        # cube f_k^3 and a + b for f(-q^a, -q^b).
+        s = (sum(key) if atom is ramanujan_theta
+             else (3 if atom is euler_f else 4) * key)
+        num.extend([(isqrt(8 * order // max(s, 1)),
+                     partial(atom, key, order, ring), power)] * count)
+
     for key, e in exponents.items():
-        atom = ramanujan_theta if isinstance(key, tuple) else euler_f
-        if e > 0:
-            num.append((atom, key, e))
-        elif e < 0 and atom is ramanujan_theta:
-            den.append((atom, key, -e))
+        if isinstance(key, tuple):
+            if e > 0:
+                numerator(ramanujan_theta, key, e)
+            elif e < 0:
+                den.append((ramanujan_theta, key, -e))
+        elif e > 0:
+            # c cubes one at a time take c products, each with a sparse
+            # factor; the power cube^c takes about as many dense ones as
+            # c has bits and one bits, so it is used only past that
+            cubes = e // 3
+            if cubes <= cubes.bit_length() + bin(cubes).count("1"):
+                numerator(euler_cube, key, 1, cubes)
+            else:
+                numerator(euler_cube, key, cubes)
+            if e % 3:
+                numerator(euler_f, key, e % 3)
         elif e < 0:
             cubes, rest = divmod(-e, 3)
             if rest == 2:  # f_k^-2 = f_k / f_k^3
-                num.append((euler_f, key, 1))
+                numerator(euler_f, key, 1)
                 cubes += 1
             elif rest:
                 den.append((euler_f, key, 1))
             if cubes:
                 den.append((euler_cube, key, cubes))
-    up = chain((f.truncate(order) for f in factors),
-               (atom(key, order, ring) ** e for atom, key, e in num))
-    result = reduce(mul, up, next(up, None))
+    num.sort(key=itemgetter(0))
+    result = None
+    for build, group in groupby(num, itemgetter(1)):
+        series = build()
+        for _, _, power in group:
+            f = series ** power
+            result = f if result is None else result * f
+        del series, f  # free this atom before the next one is built
     if result is None:
         result = TruncatedSeries.one(ring, order)
     for atom, key, count in den:

@@ -73,14 +73,27 @@ def test_huge_power_substitution_is_truncated(capsys, expr):
 
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "q" + ")" * 400,
-    "q+" * 2999 + "q",
-], ids=["400-nested-parentheses", "3000-term-sum"])
+], ids=["400-nested-parentheses"])
 def test_deeply_nested_expression_exit(capsys, expr):
     assert main(["expand", "--order", "5", "--", expr]) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_long_flat_sum_expands(capsys):
+    # a sum is added up along its left spine without recursion
+    assert main(["expand", "--order", "5", "--", "q+" * 2999 + "q"]) == EXIT_OK
+    assert capsys.readouterr().out.split() == ["0", "3000", "0", "0", "0"]
+
+
+def test_error_in_long_product_names_it(capsys):
+    # the error path prints the failing node without recursing on it
+    expr = "f1*" * 2999 + "q/(2*q)"
+    assert main(["expand", "--order", "5", "--", expr]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "not invertible" in err and "f1*f1*f1" in err
 
 
 def test_long_flat_product_expands(capsys):

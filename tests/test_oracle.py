@@ -15,6 +15,7 @@ from qseries.qfunctions import (
     ramanujan_theta,
     regular_series,
 )
+from qseries.series import mod_ring
 
 
 def pentagonal_recurrence(bound):
@@ -90,6 +91,14 @@ class TestCountBipartitions:
     def test_matches_series(self):
         assert count_bipartitions(27, 11, 200) == \
             list(bipartition_series(27, 11, 200).coeffs)
+
+    @pytest.mark.parametrize("s,t,m", [(2, 15, 5), (7, 11, 11),
+                                       (27, 11, 11), (243, 17, 17)])
+    def test_matches_modular_series(self, s, t, m):
+        # over a prime modulus the family build folds f_m into f_1^m;
+        # the oracle counts in Z and knows nothing of that
+        want = [c % m for c in count_bipartitions(s, t, 1000)]
+        assert want == list(bipartition_series(s, t, 1000, mod_ring(m)).coeffs)
 
     def test_validation(self):
         with pytest.raises(ValueError):

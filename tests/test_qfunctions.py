@@ -1,5 +1,6 @@
 import pytest
 
+from qseries import qfunctions
 from qseries.oracle import (
     bilateral_theta,
     count_bipartitions,
@@ -111,6 +112,97 @@ class TestDivideEulerPower:
     def test_zero_exponents_build_nothing(self):
         # theta(0, 1) would raise if it were built
         assert eta_quotient({(0, 1): 0, 1: 0}, 5) == TruncatedSeries.one(EXACT, 5)
+
+
+def _whole_quotient(exponents, n, factors):
+    """The quotient over Z the plain way: each atom raised to its whole
+    power, then multiplied in or divided out."""
+    whole = TruncatedSeries.one(EXACT, n)
+    for f in factors:
+        whole = whole * f
+    for key, e in exponents.items():
+        atom = (ramanujan_theta(key, n) if isinstance(key, tuple)
+                else euler_f(key, n))
+        whole = whole * atom ** e if e > 0 else whole.divide(atom ** -e)
+    return whole
+
+
+def _fold_case(rng, m, n):
+    """Random exponents that put f_ck^(e>0) next to f_k^(e<0), for c a
+    multiple or a prime factor of m, with thetas and factors mixed in."""
+    step = m or rng.choice((2, 3, 5))
+    steps = [step, step * step] + [d for d in (2, 3) if step % d == 0]
+    exponents = {}
+    for _ in range(rng.randint(1, 3)):
+        k = rng.choice((1, 2, 3))
+        exponents[rng.choice(steps) * k] = rng.randint(1, 3)
+        exponents[k] = -rng.randint(1, 4)
+    for _ in range(rng.randint(0, 2)):
+        spec = (rng.randint(1, 4), rng.randint(1, 4))
+        exponents[spec] = rng.choice((-2, -1, 1, 2))
+    factors = [TruncatedSeries(EXACT, [rng.randint(-9, 9) for _ in range(n)])
+               for _ in range(rng.randint(0, 2))]
+    return exponents, factors
+
+
+class TestFrobeniusFold:
+    """Over Z/p, p prime, f_pk^e is folded into f_k^(pe) against a negative
+    power of f_k; for composite m (4, 6, 9) it must not be."""
+
+    @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 9, 11, 17])
+    def test_equals_exact_quotient_reduced(self, m, rng):
+        n = 60
+        for _ in range(25):
+            exponents, factors = _fold_case(rng, m, n)
+            want = _whole_quotient(exponents, n, factors)
+            if m:
+                want = want.reduce_mod(m)
+                factors = [f.reduce_mod(m) for f in factors]
+            got = eta_quotient(exponents, n, want.ring, factors)
+            assert got == want, (exponents, m)
+
+    @pytest.mark.parametrize("exponents,m,built", [
+        ({11: 1, 1: -2}, 11, {1}),
+        ({121: 1, 11: -1, 1: -2}, 11, {1}),  # 121 -> 11 -> 1
+        ({9: 1, 3: -1, 1: -1}, 3, {1}),
+        ({4: 1, 2: -1}, 2, {2}),
+        ({11: 1, 1: 2}, 11, {1, 11}),     # nothing to cancel
+        ({11: -1, 1: 2}, 11, {1, 11}),    # f_11 is not in the numerator
+        ({4: 1, 1: -2}, 4, {1, 4}),       # 4 is not prime
+        ({9: 1, 1: -2}, 9, {1, 9}),
+        ({11: 1, 1: -2}, 0, {1, 11}),
+    ])
+    def test_folds_only_over_a_prime_against_a_negative_power(
+            self, monkeypatch, exponents, m, built):
+        keys = set()
+
+        def recording(constructor):
+            def build(k, order, ring=EXACT):
+                keys.add(k)
+                return constructor(k, order, ring)
+            return build
+
+        for name in ("euler_f", "euler_cube"):
+            monkeypatch.setattr(qfunctions, name,
+                                recording(getattr(qfunctions, name)))
+        want = _whole_quotient(exponents, 200, ())
+        if m:
+            want = want.reduce_mod(m)
+        keys.clear()
+        assert eta_quotient(exponents, 200, want.ring) == want
+        assert keys == built
+
+    def test_prime_family_builds_divide_nothing(self, monkeypatch):
+        n = 5000
+
+        def no_division(self, other):
+            raise AssertionError("divided")
+
+        monkeypatch.setattr(TruncatedSeries, "divide", no_division)
+        bipartition_series(27, 11, n, mod_ring(11))
+        bipartition_series(243, 17, n, mod_ring(17))
+        with pytest.raises(AssertionError, match="divided"):
+            bipartition_series(27, 11, n, mod_ring(4))
 
 
 class TestRamanujanTheta:
