@@ -490,7 +490,7 @@ class _Quotient:
     def power(self, p: int, ring: CoefficientRing) -> _Quotient:
         atoms = {key: e * p for key, e in self.atoms.items()}
         if p < 0 and not self.unit(ring):
-            rest = self.plain(ring).invert() ** -p
+            rest = self.plain(ring) ** p
             return _Quotient(1, 0, self.order, (rest,), atoms)
         c = pow(self.c if p >= 0 else ring.inverse(self.c), abs(p),
                 ring.modulus or None)

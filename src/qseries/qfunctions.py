@@ -182,6 +182,28 @@ def bipartition_series(s: int, t: int, order: int,
     return eta_quotient({**Counter((s, t)), 1: -2}, order, ring)
 
 
+def _terms(atom: Callable, key: int | tuple[int, int], order: int) -> int:
+    """About how many nonzero terms the atom has below order.
+
+    Its exponents grow quadratically, so about sqrt(8 * order / s), with
+    s = 3k for f_k, 4k for the cube f_k^3 and a + b for f(-q^a, -q^b).
+    """
+    s = (sum(key) if atom is ramanujan_theta
+         else (3 if atom is euler_f else 4) * key)
+    return isqrt(8 * order // max(s, 1))
+
+
+def _euler_cost(k: int, e: int, order: int) -> int:
+    """Nonzero terms of the factors that :func:`eta_quotient` multiplies
+    by or divides out for f_k^e."""
+    f = _terms(euler_f, k, order)
+    cube = _terms(euler_cube, k, order)
+    cubes, rest = divmod(abs(e), 3)
+    if e < 0 and rest == 2:  # f_k / f_k^3
+        return f + (cubes + 1) * cube
+    return cubes * cube + rest * f
+
+
 def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                  ring: CoefficientRing = EXACT,
                  factors: Sequence[TruncatedSeries] = ()) -> TruncatedSeries:
@@ -196,9 +218,15 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     descending order so that one rewrite can feed the next: f_pk = f_k^p
     (mod p), since (1 - x)^p = 1 - x^p there, and a positive power costs
     multiplications where a negative one costs quotient recurrences.
-    For composite m the congruence fails (mod 4, f_1^4 = 1 + 2q^2 + ...
-    while f_4 = 1 - q^4 + ...; mod 9, f_1^9 and f_9 differ at q^3), so
-    then nothing is rewritten.
+    Then, visiting k in ascending order, f_k^-e (e > 0) becomes
+    f_k^(c*p - e) / f_pk^c with c = ceil(e / p) wherever that lowers the
+    count of nonzero terms multiplied by and divided out (:func:`_terms`
+    estimates them), and f_pk^-c is tried in turn: so B_{2,15} =
+    f_2 f_15 / f_1^2 becomes f_2 f_15 f_1^3 / f_5 mod 5, one division by
+    f_5 in place of one by the denser cube f_1^3.  For composite m the
+    congruence fails (mod 4, f_1^4 = 1 + 2q^2 + ... while f_4 = 1 - q^4
+    + ...; mod 9, f_1^9 and f_9 differ at q^3), so then nothing is
+    rewritten.
 
     The positive part is multiplied into the running product one factor
     at a time, sparsest first (``factors`` included): f_k^e as e // 3
@@ -213,12 +241,28 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     """
     p = ring.modulus
     exponents = dict(exponents)
-    for k in sorted((k for k in exponents if not isinstance(k, tuple)),
-                    reverse=True):
-        if (p and not k % p and exponents[k] > 0
-                and exponents.get(k // p, 0) < 0
-                and all(p % d for d in range(2, isqrt(p) + 1))):
-            exponents[k // p] += p * exponents.pop(k)
+    euler = sorted(k for k in exponents if not isinstance(k, tuple))
+    if (p and any(exponents[k] < 0 for k in euler)
+            and all(p % d for d in range(2, isqrt(p) + 1))):
+        for k in reversed(euler):
+            if (not k % p and exponents[k] > 0
+                    and exponents.get(k // p, 0) < 0):
+                exponents[k // p] += p * exponents.pop(k)
+        for k in euler:
+            # f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p), where the
+            # planner's costs say it is cheaper; f_pk^-c may fold again.
+            while exponents.get(k, 0) < 0:
+                e, pk = exponents[k], p * k
+                c = -(e // p)
+                e_pk = exponents.get(pk, 0)
+                if (_euler_cost(k, e + c * p, order)
+                        + _euler_cost(pk, e_pk - c, order)
+                        >= _euler_cost(k, e, order)
+                        + _euler_cost(pk, e_pk, order)):
+                    break
+                exponents[k] = e + c * p
+                exponents[pk] = e_pk - c
+                k = pk
     # (nonzero terms, builder, power) of each numerator factor, and
     # (constructor, key, count) of each divisor; each series is built
     # only when used, so few are held besides the running result.
@@ -228,12 +272,7 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     den: list[tuple[Callable, int | tuple[int, int], int]] = []
 
     def numerator(atom: Callable, key, power: int, count: int = 1) -> None:
-        # The atom's exponents grow quadratically, so it has about
-        # sqrt(8 * order / s) nonzero terms: s = 3k for f_k, 4k for the
-        # cube f_k^3 and a + b for f(-q^a, -q^b).
-        s = (sum(key) if atom is ramanujan_theta
-             else (3 if atom is euler_f else 4) * key)
-        num.extend([(isqrt(8 * order // max(s, 1)),
+        num.extend([(_terms(atom, key, order),
                      partial(atom, key, order, ring), power)] * count)
 
     for key, e in exponents.items():

@@ -16,10 +16,10 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import accumulate, compress
 from math import gcd
 from operator import itemgetter, mul
-from typing import Sequence
+from typing import Callable, Sequence
 
 
 class SeriesError(Exception):
@@ -82,15 +82,20 @@ def mod_ring(m: int) -> CoefficientRing:
 # --- multiplication kernel ------------------------------------------------
 #
 # Every product of two series goes through _mul_coeffs, which picks one of
-# two exact paths per call from a cost estimate:
+# three exact paths per call from a cost estimate:
 #
-# * the sparse loop convolves the nonzero terms, which is cheap when one
-#   factor is lacunary (an Euler product, a monomial);
+# * the sparse loop convolves the nonzero terms, which is cheap when both
+#   factors are lacunary (Euler products, monomials);
 # * Kronecker substitution packs each coefficient vector into one Python
 #   int, with one slot per coefficient wide enough to hold any coefficient
-#   of the product, does one big-int multiplication and unpacks the slots.
+#   of the product, does one big-int multiplication and unpacks the slots;
+#   it suits two dense factors;
+# * the shift path packs only the denser factor, into the same slots, and
+#   adds one shifted copy of it per nonzero term of the sparser one: a
+#   lacunary factor times a dense one, where Karatsuba would multiply
+#   every zero slot.
 #
-# Both paths compute the same exact integer sums, so the results are
+# All paths compute the same exact integer sums, so the results are
 # bit-identical.  The constants below are nanoseconds, measured once with
 # CPython 3.11 on an x86-64 Xeon; only their ratios matter.
 
@@ -100,6 +105,8 @@ _TERM_NS = 120          # one nonzero term of the denser factor, streamed
 _ARRAY_SLOT_NS = 40     # packing or unpacking one coefficient via array
 _BYTES_SLOT_NS = 650    # the same via a bytearray (slots wider than 8 bytes)
 _KARATSUBA_NS = 10      # times D**1.585 for a product of two D-digit ints
+_SHIFT_NS = 300         # one nonzero term of the sparser factor, shifted ...
+_SHIFT_BYTE_NS = 0.8    # ... plus this per byte of the packed denser one
 
 # array type codes by item size in bytes; item values are little-endian
 # in the packed ints, so big-endian hosts swap them.
@@ -120,17 +127,20 @@ def _slot_bytes(bound: int, signed: bool) -> int:
     return min((size for size in _UNSIGNED if size >= w), default=w)
 
 
-def _kronecker_pays(nza: int, nzb: int, n: int, ha: int, hb: int,
-                    m: int) -> bool:
-    """Whether Kronecker substitution is estimated to beat the sparse loop
-    for factors with nza <= nzb nonzero terms of height ha and hb."""
+def _mul_costs(nza: int, nzb: int, n: int, ha: int, hb: int,
+               m: int) -> dict[Callable, float]:
+    """Estimated nanoseconds of each exact path for factors with
+    nza <= nzb nonzero terms of height ha and hb."""
     digits = (ha.bit_length() + hb.bit_length()) // 30
-    loop = (nza * nzb * (_PAIR_NS + _PAIR_DIGIT_NS * digits) / 2
-            + nzb * _TERM_NS)
     w = _slot_bytes(nza * ha * hb, not m)
     slot = _ARRAY_SLOT_NS if w in _UNSIGNED else _BYTES_SLOT_NS
-    kronecker = 3 * n * slot + _KARATSUBA_NS * (n * w * 8 / 30 + 1) ** 1.585
-    return kronecker < loop
+    return {
+        _mul_sparse: (nza * nzb * (_PAIR_NS + _PAIR_DIGIT_NS * digits) / 2
+                      + nzb * _TERM_NS),
+        _mul_kronecker: (3 * n * slot
+                         + _KARATSUBA_NS * (n * w * 8 / 30 + 1) ** 1.585),
+        _mul_shift: 2 * n * slot + nza * (_SHIFT_NS + _SHIFT_BYTE_NS * n * w),
+    }
 
 
 def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int,
@@ -147,12 +157,13 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int,
         return [0] * n
     ha = _height(a, m)
     hb = ha if b is a else _height(b, m)
-    if _kronecker_pays(nza, nzb, n, ha, hb, m):
-        # Each product coefficient sums at most nza products of height
-        # ha*hb: a proven bound, so no slot overflows into the next.
-        return _mul_kronecker(a, b, n, _slot_bytes(nza * ha * hb, not m),
-                              not m)
-    return _mul_sparse(a, b, n)
+    costs = _mul_costs(nza, nzb, n, ha, hb, m)
+    path = min(costs, key=costs.get)
+    if path is _mul_sparse:
+        return _mul_sparse(a, b, n)
+    # Each product coefficient sums at most nza products of height ha*hb:
+    # a proven bound, so no slot overflows into the next.
+    return path(a, b, n, _slot_bytes(nza * ha * hb, not m), not m)
 
 
 def _mul_sparse(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -179,18 +190,70 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], n: int, w: int,
     w must hold every coefficient of the factors and of the product (with
     a sign bit when signed).
     """
+    pa = _pack(a, w, signed)
+    pb = pa if b is a else _pack(b, w, signed)
+    return _unpack(pa * pb, n, w, signed)
+
+
+def _mul_shift(a: Sequence[int], b: Sequence[int], n: int, w: int,
+               signed: bool) -> Sequence[int]:
+    """The n low coefficients of a*b, a the sparser factor, with w as
+    for _mul_kronecker (so that it also holds the sum of a's absolute
+    values, which the signed case takes off): only b is packed, once,
+    and shifted to each nonzero term of a.
+
+    b is packed in reverse, slot n-1-j holding b_j, so shifting it right
+    by i slots keeps exactly the b_j with i + j < n, in the slots of
+    their product coefficients (also reversed): nothing is computed
+    past order n, and no int is wider than n slots.  Terms of a with one
+    value share one multiple of the packed b in Z/m, where a value times
+    a coefficient of b still fits its slot, so no carry crosses the cut.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, v in zip(compress(range(n), a), filter(None, a)):
+        groups.setdefault(v, []).append(8 * w * i)
+    packed = _pack(b[::-1], w, signed)
+    if signed:
+        # A right shift truncates exactly only a nonnegative int, so
+        # every slot is biased by 2**(8*w - 1); the term a_i then adds
+        # a_i times the bias to coefficients i..n-1, taken off below.
+        packed += _biases(n, w)
+    prod = 0
+    scaled = packed
+    for v, shifts in groups.items():
+        if not signed:
+            scaled = v * packed
+        for t in reversed(shifts):
+            prod += scaled >> t if not signed else v * (packed >> t)
+    # One accumulator, freed operands: summing each value's terms apart
+    # first, or unpacking with packed still alive, was up to a third
+    # faster at N = 97,159 but left a registry run's resident peak up to
+    # 1.5 MB higher.
+    del packed, scaled
+    if signed:
+        prod -= _pack(list(accumulate(a))[::-1], w, True) << 8 * w - 1
+    slots = _unpack(prod, n, w, signed)
+    slots.reverse()
+    return slots
+
+
+def _biases(n: int, w: int) -> int:
+    """2**(8*w - 1) in each of n w-byte slots: the top bit of each."""
+    return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
+
+
+def _unpack(prod: int, n: int, w: int, signed: bool) -> Sequence[int]:
+    """The n low w-byte slots of prod = sum(c_i * 2**(8*w*i)), exact
+    when every c_i fits a slot (with its sign when signed)."""
     mask = (1 << 8 * n * w) - 1
     if signed:
-        # Flipping every slot's top bit maps two's-complement slots to
-        # values biased by 2**(8*w - 1), which are nonnegative.
-        top = int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
-        pa = (_pack(a, w, True) ^ top) - top
-        pb = pa if b is a else (_pack(b, w, True) ^ top) - top
-        prod = ((pa * pb + top) & mask) ^ top
+        # Adding 2**(8*w - 1) to every slot makes each nonnegative and
+        # below 2**(8*w); flipping the top bits removes it again, leaving
+        # two's-complement slots.
+        top = _biases(n, w)
+        prod = ((prod + top) & mask) ^ top
     else:
-        pa = _pack(a, w, False)
-        pb = pa if b is a else _pack(b, w, False)
-        prod = pa * pb & mask
+        prod &= mask
     raw = prod.to_bytes(n * w, "little")
     code = (_SIGNED if signed else _UNSIGNED).get(w)
     if code is None:
@@ -205,8 +268,8 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], n: int, w: int,
 
 
 def _pack(c: Sequence[int], w: int, signed: bool) -> int:
-    """The coefficients as w-byte little-endian slots of one int (signed
-    slots in two's complement)."""
+    """sum(c_i * 2**(8*w*i)) as one int, built from w-byte little-endian
+    slots (two's complement when signed, then unbiased)."""
     code = (_SIGNED if signed else _UNSIGNED).get(w)
     if code is None:
         slots = bytearray(len(c) * w)
@@ -217,7 +280,98 @@ def _pack(c: Sequence[int], w: int, signed: bool) -> int:
         slots = array(code, c)
         if _SWAP:
             slots.byteswap()
-    return int.from_bytes(slots, "little")
+    packed = int.from_bytes(slots, "little")
+    if signed:
+        # Flipping a two's-complement slot's top bit maps its value c to
+        # c + 2**(8*w - 1), which is nonnegative; subtracting that bias
+        # from every slot leaves the signed sum.
+        top = _biases(len(c), w)
+        packed = (packed ^ top) - top
+    return packed
+
+
+# --- quotient recurrence ----------------------------------------------------
+#
+# num/den to order n is g with g[i] = (num[i] - sum_k den[k] g[i-k]) / den[0]
+# over the divisor's nonzero terms (k, den[k]), k > 0: the three functions
+# below compute it for a unit den[0] (c0inv is its inverse) and give the
+# same g.  g grows by one coefficient per step, so g[i - k] is g[-k]: one
+# itemgetter over the offsets in range gathers every term at once, and is
+# rebuilt only when a divisor term enters range.
+
+
+def _pads(least: int, *sizes: int) -> tuple[int, ...]:
+    """At least `least` offsets -1 to end gathers of the given sizes, so
+    that none returns exactly 20 items: CPython 3.11 keeps up to 2000
+    freed 20-item tuples (368 KB) for reuse but never reuses them, so a
+    gather of 20 items per step would hold that memory to the end."""
+    k = least
+    while 20 in (size + k for size in sizes):
+        k += 1
+    return (-1,) * k
+
+
+def _quotient_unit_terms(num: Sequence[int], dnz: list[tuple[int, int]],
+                         c0inv: int, n: int, m: int) -> list[int]:
+    """The recurrence when every term is +1 or -1 (m - 1 in Z/m, where
+    Z/2 puts every term with the +1s), as in Euler products and most
+    thetas, in Z (m = 0) or Z/m: one gathered sum per sign and no
+    products.  Both gathers end in the same pads g[-1], at least two, so
+    they always return tuples and the pads cancel in the difference."""
+    g: list[int] = []
+    pos: list[int] = []
+    neg: list[int] = []
+    plus = sub = itemgetter(-1, -1)
+    j = 0
+    for i in range(n):
+        if j < len(dnz) and dnz[j][0] == i:
+            (pos if dnz[j][1] == 1 else neg).append(-i)
+            j += 1
+            pads = _pads(2, len(pos), len(neg))
+            plus = itemgetter(*pos, *pads)
+            sub = itemgetter(*neg, *pads)
+        s = num[i]
+        if j:
+            s += sum(sub(g)) - sum(plus(g))
+        g.append(s * c0inv % m if m else s * c0inv)
+    return g
+
+
+def _quotient_gather(num: Sequence[int], dnz: list[tuple[int, int]],
+                     c0inv: int, n: int, m: int) -> list[int]:
+    """The recurrence in Z/m for any terms: the gather's products with
+    the terms are summed.  Its trailing pads keep it returning a tuple
+    when one term is in range; map stops at the end of vals."""
+    g: list[int] = []
+    offsets: list[int] = []
+    vals: list[int] = []
+    get = None
+    for i in range(n):
+        if len(vals) < len(dnz) and dnz[len(vals)][0] == i:
+            k, v = dnz[len(vals)]
+            offsets.append(-k)
+            vals.append(v)
+            get = itemgetter(*offsets, *_pads(1, len(offsets)))
+        s = num[i]
+        if vals:
+            s -= sum(map(mul, vals, get(g)))
+        g.append(s * c0inv % m)
+    return g
+
+
+def _quotient_loop(num: Sequence[int], dnz: list[tuple[int, int]],
+                   c0inv: int, n: int) -> list[int]:
+    """The recurrence over Z for any terms, such as Jacobi's cube: this
+    loop beats the gather there, where the products are big integers."""
+    g = [0] * n
+    for i in range(n):
+        s = num[i]
+        for k, v in dnz:
+            if k > i:
+                break
+            s -= v * g[i - k]
+        g[i] = s * c0inv  # c0inv is +-1
+    return g
 
 
 class TruncatedSeries:
@@ -405,19 +559,19 @@ class TruncatedSeries:
         return NotImplemented
 
     def __pow__(self, e: int) -> TruncatedSeries:
-        """self**e; a negative e inverts densely, then raises to -e.
+        """self**e, by one of two exact routes; the result is identical
+        either way.
 
-        The inverse of a lacunary series is dense, so a negative power of
-        an Euler product is slow: euler_f(1, 3500) ** -12 takes about
-        2.2 s on a 2-core Xeon with CPython 3.11.  For eta quotients the
-        sparse route is qfunctions.pk_series(-12, 3500) or
-        evaluate_text("f1^-12", 3500), which divide by Jacobi's f_1^3
-        four times (about 0.15 s).
+        For e > 0: e - 1 products by the base when the kernel's cost
+        estimate says they beat binary squaring, as for a lacunary base.
+        For e < 0: the inverse, then over Z -e - 1 more quotient
+        recurrences by a lacunary base, else the inverse raised to -e.
+        On a 2-core Xeon with CPython 3.11, euler_f(1, 3500) ** -12 takes
+        0.24 s over Z by recurrences (2.3 s by powering the dense
+        inverse), and 0.03 s in Z/11 by powering (0.1 s by recurrences).
         """
         if not isinstance(e, int):
             raise TypeError("series exponent must be an integer")
-        if e < 0:
-            return self.invert() ** (-e)
         if e == 0:
             return TruncatedSeries.one(self.ring, self.order)
         if e == 1:
@@ -425,14 +579,29 @@ class TruncatedSeries:
         n = self.order
         m = self.ring.modulus
         nnz = n - self.coeffs.count(0)
+        squarings = abs(e).bit_length() + bin(e).count("1") - 2
         h = _height(self.coeffs, m)
-        if ((e - 1) * nnz <= e.bit_length() * n
-                and not _kronecker_pays(nnz, n, n, h, h, m)):
-            # Lacunary base, and the kernel would multiply a dense power
-            # (costed at the base's height) by it with the sparse loop:
-            # e-1 such products beat binary squaring, whose intermediates
-            # are dense.  Otherwise the kernel's Kronecker path makes the
-            # squarings cheaper.  The result is identical either way.
+        by_base = _mul_costs(nnz, n, n, h, h, m)
+        if e < 0:
+            inv = self.invert()
+            # Over Z, for a base the kernel would not multiply by
+            # Kronecker substitution, a recurrence costs n*nnz
+            # multiply-adds and a product of dense powers is counted as
+            # n*n.  Timed on f_1 and Jacobi's cube at N = 600 to 3500 with
+            # -e up to 96, the recurrences were 1.4 to 30 times faster
+            # than powering the inverse, whose big integers make its
+            # products slow; in Z/m powering the inverse won.
+            if (not m and min(by_base, key=by_base.get) is not _mul_kronecker
+                    and (-e - 1) * nnz < squarings * n):
+                for _ in range(-e - 1):
+                    inv = inv.divide(self)
+                return inv
+            return inv ** -e
+        # Compared as int against float, so that no huge e is converted.
+        if e - 1 <= (squarings * min(_mul_costs(n, n, n, h, h, m).values())
+                     / min(by_base.values())):
+            # A lacunary base: each product by it is cheaper than a
+            # product of two dense powers (costed at the base's height).
             acc = self
             for _ in range(e - 1):
                 acc = acc * self
@@ -451,43 +620,15 @@ class TruncatedSeries:
     def _quotient_prefix(self, num: Sequence[int], den: Sequence[int],
                          n: int) -> list[int]:
         """Coefficients of num/den to order n; den[0] must be a unit."""
-        ring = self.ring
-        c0 = den[0]
-        c0inv = ring.inverse(c0)  # raises NonUnitError if not a unit
+        c0inv = self.ring.inverse(den[0])  # raises NonUnitError if not a unit
         dnz = [(k, v) for k, v in enumerate(den[:n]) if v and k > 0]
-        m = ring.modulus
+        m = self.ring.modulus
+        minus = m - 1 if m else -1
+        if all(v == 1 or v == minus for _, v in dnz):
+            return _quotient_unit_terms(num, dnz, c0inv, n, m)
         if m:
-            # g grows by one coefficient per step, so g[i - k] is g[-k]:
-            # one itemgetter over the offsets in range gathers every term
-            # at once, and is rebuilt only when a divisor term enters
-            # range.  Its trailing -1 keeps it returning a tuple when one
-            # term is in range; map stops at the end of vals.
-            g: list[int] = []
-            offsets: list[int] = []
-            vals: list[int] = []
-            get = None
-            for i in range(n):
-                if len(vals) < len(dnz) and dnz[len(vals)][0] == i:
-                    k, v = dnz[len(vals)]
-                    offsets.append(-k)
-                    vals.append(v)
-                    get = itemgetter(*offsets, -1)
-                s = num[i]
-                if vals:
-                    s -= sum(map(mul, vals, get(g)))
-                g.append(s * c0inv % m)
-        else:
-            # On a dense divisor this loop beats the gather over Z, where
-            # the products are big integers.
-            g = [0] * n
-            for i in range(n):
-                s = num[i]
-                for k, v in dnz:
-                    if k > i:
-                        break
-                    s -= v * g[i - k]
-                g[i] = s * c0inv  # c0inv is +-1
-        return g
+            return _quotient_gather(num, dnz, c0inv, n, m)
+        return _quotient_loop(num, dnz, c0inv, n)
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse: the series b with self*b = 1 + O(q^N).

@@ -71,6 +71,17 @@ def test_huge_power_substitution_is_truncated(capsys, expr):
     assert capsys.readouterr().out.strip() == "1 0 0 0 0"
 
 
+def test_huge_negative_power_is_squared(capsys):
+    # A huge exponent takes the squaring route, which needs about 70
+    # products of five-term series here; the coefficients are binom(e, k).
+    e = -10**20
+    assert main(["expand", f"(1+q)^{e}", "--order", "5"]) == EXIT_OK
+    binom = [1]
+    for k in range(1, 5):
+        binom.append(binom[-1] * (e - k + 1) // k)
+    assert capsys.readouterr().out.split() == [str(c) for c in binom]
+
+
 @pytest.mark.parametrize("expr", [
     "(" * 400 + "q" + ")" * 400,
 ], ids=["400-nested-parentheses"])

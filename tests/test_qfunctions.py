@@ -129,7 +129,8 @@ def _whole_quotient(exponents, n, factors):
 
 def _fold_case(rng, m, n):
     """Random exponents that put f_ck^(e>0) next to f_k^(e<0), for c a
-    multiple or a prime factor of m, with thetas and factors mixed in."""
+    multiple or a prime factor of m, and f_k^(e<0) alone, with thetas and
+    factors mixed in."""
     step = m or rng.choice((2, 3, 5))
     steps = [step, step * step] + [d for d in (2, 3) if step % d == 0]
     exponents = {}
@@ -137,6 +138,7 @@ def _fold_case(rng, m, n):
         k = rng.choice((1, 2, 3))
         exponents[rng.choice(steps) * k] = rng.randint(1, 3)
         exponents[k] = -rng.randint(1, 4)
+    exponents[rng.choice((1, 4, 5, 7))] = -rng.randint(1, 2 * step)
     for _ in range(rng.randint(0, 2)):
         spec = (rng.randint(1, 4), rng.randint(1, 4))
         exponents[spec] = rng.choice((-2, -1, 1, 2))
@@ -145,21 +147,44 @@ def _fold_case(rng, m, n):
     return exponents, factors
 
 
+def _record_built(monkeypatch):
+    """The set that collects every k whose f_k or f_k^3 gets built."""
+    keys = set()
+
+    def recording(constructor):
+        def build(k, order, ring=EXACT):
+            keys.add(k)
+            return constructor(k, order, ring)
+        return build
+
+    for name in ("euler_f", "euler_cube"):
+        monkeypatch.setattr(qfunctions, name,
+                            recording(getattr(qfunctions, name)))
+    return keys
+
+
 class TestFrobeniusFold:
     """Over Z/p, p prime, f_pk^e is folded into f_k^(pe) against a negative
-    power of f_k; for composite m (4, 6, 9) it must not be."""
+    power of f_k, and f_k^-e becomes f_k^(cp-e) / f_pk^c where that is
+    cheaper; for composite m (4, 6, 9) neither happens."""
 
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 9, 11, 17])
-    def test_equals_exact_quotient_reduced(self, m, rng):
+    def test_equals_exact_quotient_reduced(self, monkeypatch, m, rng):
         n = 60
+        built = _record_built(monkeypatch)
+        divided_by_new_atom = 0
         for _ in range(25):
             exponents, factors = _fold_case(rng, m, n)
             want = _whole_quotient(exponents, n, factors)
             if m:
                 want = want.reduce_mod(m)
                 factors = [f.reduce_mod(m) for f in factors]
+            built.clear()
             got = eta_quotient(exponents, n, want.ring, factors)
             assert got == want, (exponents, m)
+            divided_by_new_atom += not built <= exponents.keys()
+        # the division-side rule builds an f_pk that the record lacks
+        assert bool(divided_by_new_atom) == (m in (2, 5, 11, 17))
 
     @pytest.mark.parametrize("exponents,m,built", [
         ({11: 1, 1: -2}, 11, {1}),
@@ -171,20 +196,19 @@ class TestFrobeniusFold:
         ({4: 1, 1: -2}, 4, {1, 4}),       # 4 is not prime
         ({9: 1, 1: -2}, 9, {1, 9}),
         ({11: 1, 1: -2}, 0, {1, 11}),
+        # division side: f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p)
+        ({2: 1, 15: 1, 1: -2}, 5, {1, 2, 5, 15}),  # f_1^3 / f_5
+        ({1: -5}, 5, {5}),                 # 1 / f_5
+        ({1: -4}, 2, {4}),                 # 1 / f_2^2, then 1 / f_4
+        ({1: -10}, 5, {5, 25}),            # 1 / f_5^2, then f_5^3 / f_25
+        ({1: -1}, 5, {1}),                 # f_1^4 / f_5 costs more
+        ({1: -6}, 5, {1}),                 # so does f_1^4 / f_5^2
+        ({1: -2}, 4, {1}),                 # 4 is not prime
+        ({1: -2}, 0, {1}),
     ])
     def test_folds_only_over_a_prime_against_a_negative_power(
             self, monkeypatch, exponents, m, built):
-        keys = set()
-
-        def recording(constructor):
-            def build(k, order, ring=EXACT):
-                keys.add(k)
-                return constructor(k, order, ring)
-            return build
-
-        for name in ("euler_f", "euler_cube"):
-            monkeypatch.setattr(qfunctions, name,
-                                recording(getattr(qfunctions, name)))
+        keys = _record_built(monkeypatch)
         want = _whole_quotient(exponents, 200, ())
         if m:
             want = want.reduce_mod(m)

@@ -4,7 +4,12 @@ import pytest
 
 from qseries import oracle, series
 from qseries.oracle import count_partitions, naive_euler
-from qseries.qfunctions import euler_f
+from qseries.qfunctions import (
+    eta_quotient,
+    euler_cube,
+    euler_f,
+    ramanujan_theta,
+)
 from qseries.series import (
     CoefficientRing,
     EXACT,
@@ -110,6 +115,88 @@ class TestPower:
         with pytest.raises(NonUnitError):
             S(2, 1) ** -1
 
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(11)], ids=str)
+    def test_positive_power_takes_the_estimated_route(self, monkeypatch,
+                                                      rng, ring):
+        # Repeated products multiply by the base every time; squaring
+        # multiplies a power by itself.  Which one runs is what the
+        # kernel's estimate picks, and the power is the repeated product.
+        products = []
+        real = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda x, y:
+                            products.append((x, y)) or real(x, y))
+        n, m = 2000, ring.modulus
+        cube = euler_cube(1, n, ring)
+        dense = random_series(rng, ring, order=n)
+        picked = {}
+        for name, base in (("cube", cube), ("dense", dense)):
+            nnz = n - base.coeffs.count(0)
+            h = series._height(base.coeffs, m)
+            for e in (2, 3, 5, 6):
+                want = base
+                for _ in range(e - 1):
+                    want = want * base
+                products.clear()
+                assert base ** e == want
+                repeated = all(base in pair for pair in products)
+                squarings = e.bit_length() + bin(e).count("1") - 2
+                dense = min(series._mul_costs(n, n, n, h, h, m).values())
+                by_base = min(series._mul_costs(nnz, n, n, h, h, m).values())
+                assert repeated == (e - 1 <= squarings * dense / by_base)
+                picked[name, e] = repeated
+        assert picked["cube", 3] and picked["cube", 5]
+        assert not picked["dense", 5] and not picked["dense", 6]
+
+    @pytest.mark.parametrize("ring, e, recurrences",
+                             [(EXACT, -12, 12), (mod_ring(11), -12, 1),
+                              (EXACT, -200, 1)], ids=str)
+    def test_negative_power_route_depends_on_the_ring(self, monkeypatch,
+                                                      ring, e, recurrences):
+        # f_1^-12 at N = 600: twelve quotient recurrences by f_1 over Z,
+        # where a dense power of the inverse multiplies big integers; one
+        # inverse and its power in Z/11, where the power is cheap.  At
+        # e = -200, 199 * 40 terms exceed the 9 squarings times N, so the
+        # inverse is powered over Z too.
+        calls = []
+        real = TruncatedSeries._quotient_prefix
+        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix",
+                            lambda *args: calls.append(1) or real(*args))
+        f1 = euler_f(1, 600, ring)
+        want = eta_quotient({1: e}, 600, ring)
+        calls.clear()
+        assert f1 ** e == want
+        assert len(calls) == recurrences
+
+    @pytest.mark.parametrize("e", [-2, -3, -5, -12])
+    def test_negative_power_of_a_dense_base_powers_the_inverse(
+            self, monkeypatch, rng, e):
+        # Over Z the recurrences run only for a base the kernel would not
+        # multiply by Kronecker substitution, which a dense one is.
+        base = random_series(rng, order=60, unit_constant=True)
+        want = base.invert()
+        want = want ** -e
+        calls = []
+        real = TruncatedSeries._quotient_prefix
+        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix",
+                            lambda *args: calls.append(1) or real(*args))
+        assert base ** e == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("e", [10**20, -10**20, 10**400],
+                             ids=["1e20", "-1e20", "1e400"])
+    def test_huge_exponents_square(self, e):
+        # (1 + q)^e has the coefficients binom(e, k); a huge exponent
+        # takes the squaring route at once, and no cost estimate turns
+        # it into a float or an integer that grows with e.
+        assert TruncatedSeries.one(EXACT, 5) ** e == TruncatedSeries.one(
+            EXACT, 5)
+        binom = [1]
+        for k in range(1, 5):
+            binom.append(binom[-1] * (e - k + 1) // k)
+        assert (S(1, 1, 0, 0, 0) ** e).coeffs == tuple(binom)
+        assert (S(1, 1, 0, 0, 0, ring=mod_ring(11)) ** e).coeffs == tuple(
+            c % 11 for c in binom)
+
     def test_binary_and_iterative_paths_agree(self, rng):
         dense = random_series(rng, order=50, unit_constant=True)
         sparse = euler_f(1, 50)
@@ -129,23 +216,29 @@ def schoolbook(a, b, k):
     return sum(a[i] * b[k - i] for i in range(k + 1))
 
 
-def both_paths(a, b, m):
-    """The sparse loop's and Kronecker substitution's coefficients of a*b,
-    the latter at the slot width the kernel derives from its bound (which
-    also covers the factors when one of them is zero)."""
+def all_paths(a, b, m):
+    """The sparse loop's, Kronecker substitution's and the shift path's
+    coefficients of a*b, the packed ones at the slot width the kernel
+    derives from its bound (which also covers the factors when one of
+    them is zero); the shift path shifts the sparser factor's terms, as
+    the kernel does."""
     n = len(a)
     nonzero = min(n - a.count(0), n - b.count(0))
     ha, hb = series._height(a, m), series._height(b, m)
     bound = max(nonzero * ha * hb, ha, hb)
     w = series._slot_bytes(bound, not m)
+    sparse, dense = (a, b) if a.count(0) >= b.count(0) else (b, a)
     return (series._mul_sparse(a, b, n),
-            list(series._mul_kronecker(a, b, n, w, not m)))
+            list(series._mul_kronecker(a, b, n, w, not m)),
+            list(series._mul_shift(sparse, dense, n, w, not m)))
 
 
 def kernel_operand(rng, ring, n, kind, density=1.0):
     m = ring.modulus
     if kind == "zero":
         return (0,) * n
+    if kind == "sparse":
+        density = 0.05
     if m:
         return tuple(rng.randrange(1, m) if rng.random() < density else 0
                      for _ in range(n))
@@ -156,7 +249,7 @@ def kernel_operand(rng, ring, n, kind, density=1.0):
 
 
 class TestMulKernel:
-    """The two multiplication paths against each other and a schoolbook
+    """The three multiplication paths against each other and a schoolbook
     convolution."""
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
@@ -165,6 +258,7 @@ class TestMulKernel:
                                        ("negative", "random"),
                                        ("negative", "negative"),
                                        ("zero", "random"),
+                                       ("sparse", "random"),
                                        ("random", "square")])
     def test_paths_agree_with_schoolbook(self, ring, n, kinds):
         rng = random.Random(f"{ring} {n} {kinds}")
@@ -172,9 +266,10 @@ class TestMulKernel:
         b = a if kinds[1] == "square" else kernel_operand(rng, ring, n,
                                                           kinds[1])
         expected = [schoolbook(a, b, k) for k in range(n)]
-        sparse, kronecker = both_paths(a, b, ring.modulus)
+        sparse, kronecker, shift = all_paths(a, b, ring.modulus)
         assert sparse == expected
         assert kronecker == expected
+        assert shift == expected
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_paths_agree_at_order_5000(self, ring):
@@ -182,8 +277,8 @@ class TestMulKernel:
         n = 5000
         a = kernel_operand(rng, ring, n, "random", density=0.01)
         b = kernel_operand(rng, ring, n, "random")
-        sparse, kronecker = both_paths(a, b, ring.modulus)
-        assert sparse == kronecker
+        sparse, kronecker, shift = all_paths(a, b, ring.modulus)
+        assert sparse == kronecker == shift
         for k in (0, 1, 2, 2499, 4998, 4999):
             assert kronecker[k] == schoolbook(a, b, k)
 
@@ -206,9 +301,9 @@ class TestMulKernel:
         # bound n*(m-1)**2, so a slot one size too small would overflow
         a = (m - 1,) * n
         assert series._slot_bytes(n * (m - 1) ** 2, False) == width
-        sparse, kronecker = both_paths(a, a, m)
-        assert sparse == kronecker == [(k + 1) * (m - 1) ** 2
-                                       for k in range(n)]
+        sparse, kronecker, shift = all_paths(a, a, m)
+        assert sparse == kronecker == shift == [(k + 1) * (m - 1) ** 2
+                                                for k in range(n)]
 
     @pytest.mark.parametrize("h, width", [
         (2**15 - 1, 4), (2**15, 8),                  # bound 2*h*h near 2**31
@@ -218,27 +313,29 @@ class TestMulKernel:
         a, b = (h, h), (-h, -h)
         assert series._slot_bytes(2 * h * h, True) == width
         for x, y in ((a, b), (b, b), (a, a)):
-            sparse, kronecker = both_paths(x, y, 0)
-            assert sparse == kronecker == [schoolbook(x, y, k)
-                                           for k in range(2)]
+            sparse, kronecker, shift = all_paths(x, y, 0)
+            assert sparse == kronecker == shift == [schoolbook(x, y, k)
+                                                    for k in range(2)]
 
     def test_dispatch_takes_each_path(self, monkeypatch):
         taken = []
-        for name in ("_mul_sparse", "_mul_kronecker"):
+        for name in ("_mul_sparse", "_mul_kronecker", "_mul_shift"):
             real = getattr(series, name)
             monkeypatch.setattr(series, name,
                                 lambda *args, real=real, name=name:
                                 taken.append(name) or real(*args))
-        dense = random_series(random.Random(3), mod_ring(11), order=600)
-        assert dense * dense == TruncatedSeries(
-            mod_ring(11), [schoolbook(dense.coeffs, dense.coeffs, k)
-                           for k in range(600)])
-        assert taken == ["_mul_kronecker"]
-        taken.clear()
-        monomial = TruncatedSeries.monomial(mod_ring(11), 600, 5, 3)
-        assert (monomial * dense).coeffs == (0,) * 5 + tuple(
-            3 * c % 11 for c in dense.coeffs[:595])
-        assert taken == ["_mul_sparse"]
+        ring = mod_ring(11)
+        dense = random_series(random.Random(3), ring, order=600)
+        monomial = TruncatedSeries.monomial(ring, 600, 5, 3)
+        f5, f7 = euler_f(5, 600, ring), euler_f(7, 600, ring)
+        for x, y, path in ((dense, dense, "_mul_kronecker"),
+                           (monomial, dense, "_mul_shift"),
+                           (dense, f7, "_mul_shift"),
+                           (f5, f7, "_mul_sparse")):
+            taken.clear()
+            assert (x * y).coeffs == tuple(
+                schoolbook(x.coeffs, y.coeffs, k) % 11 for k in range(600))
+            assert taken == [path]
 
     def test_oracle_needs_no_kernel(self, monkeypatch):
         def no_kernel(*args):
@@ -317,6 +414,77 @@ def schoolbook_quotient(num, den, m):
         s = num[i] - sum(den[k] * g[i - k] for k in range(1, min(i + 1, len(den))))
         g.append(s * inv % m)
     return g
+
+
+UNIT_TERM_RINGS = [EXACT] + [mod_ring(m) for m in (2, 3, 4, 5, 11)]
+
+
+class TestUnitTermQuotient:
+    """Divisors whose terms are all +1 or -1 (m - 1 in Z/m) take one
+    recurrence without products, in Z and Z/m; any other term sends the
+    divisor to the general recurrence of its ring."""
+
+    @pytest.mark.parametrize("ring", UNIT_TERM_RINGS, ids=str)
+    def test_matches_the_general_recurrence(self, monkeypatch, rng, ring):
+        m = ring.modulus
+        n = 300
+        taken = []
+        for name in ("_quotient_unit_terms", "_quotient_gather",
+                     "_quotient_loop"):
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name,
+                                lambda *args, real=real, name=name:
+                                taken.append(name) or real(*args))
+        general = "_quotient_gather" if m else "_quotient_loop"
+        two = list(euler_f(1, n).coeffs)
+        two[4] = 2  # not +-1 unless m is 2 (where it is 0) or 3
+        divisors = [
+            (euler_f(1, n, ring), "_quotient_unit_terms"),
+            (euler_f(3, n, ring), "_quotient_unit_terms"),
+            (-euler_f(2, n, ring), "_quotient_unit_terms"),
+            (ramanujan_theta((1, 2), n, ring), "_quotient_unit_terms"),
+            (TruncatedSeries(ring, two),
+             "_quotient_unit_terms" if m in (2, 3) else general),
+        ]
+        for den, branch in divisors:
+            num = random_series(rng, ring, order=n)
+            taken.clear()
+            got = num / den
+            assert taken == [branch]
+            assert got * den == num
+            dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
+            c0inv = ring.inverse(den.coeffs[0])
+            want = (series._quotient_gather(num.coeffs, dnz, c0inv, n, m)
+                    if m else
+                    series._quotient_loop(num.coeffs, dnz, c0inv, n))
+            assert list(got.coeffs) == want
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(5)], ids=str)
+    def test_gathers_never_return_twenty_items(self, monkeypatch, rng, ring):
+        # f_1 at N = 1500 has 31 terms of each sign, so both gathers pass
+        # the sizes where the pads grow; the quotients are unchanged.
+        sizes = set()
+        real = series.itemgetter
+        monkeypatch.setattr(series, "itemgetter", lambda *items: sizes.add(
+            len(items)) or real(*items))
+        n = 1500
+        den = euler_f(1, n, ring)
+        num = random_series(rng, ring, order=n)
+        got = num / den
+        assert 20 not in sizes and {19, 21} <= sizes
+        assert got * den == num
+        dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
+        m = ring.modulus
+        want = (series._quotient_gather(num.coeffs, dnz, 1, n, m) if m
+                else series._quotient_loop(num.coeffs, dnz, 1, n))
+        assert list(got.coeffs) == want
+        for least in (1, 2):
+            for a in range(25):
+                for b in range(25):
+                    pads = series._pads(least, a, b)
+                    assert set(pads) == {-1}
+                    assert least <= len(pads) <= least + 2
+                    assert 20 not in (a + len(pads), b + len(pads))
 
 
 class TestModularGather:
