@@ -23,11 +23,15 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import family_series, plan_family_orders, run_item, select_items
+from .verify import (plan_family_orders, read_progressions, run_item,
+                     select_items)
 
-# A scan needs the family series out to step*count + offset coefficients;
-# beyond this cap the dense table stops being a reasonable in-memory object.
-# It bounds both `scan` and the scans of `verify --count`.
+# A scan needs the family series out to step*(count - 1) + offset + 1
+# coefficients.  Only one residue class of them is kept, but building it
+# still multiplies (and for some families divides) series of that whole
+# order, so the cap bounds the whole order: past it the build stops
+# being a reasonable in-memory computation.  It bounds both `scan` and
+# the scans of `verify --count`.
 SCAN_ORDER_CAP = 2_000_000
 
 EXIT_OK = 0
@@ -160,7 +164,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_UNKNOWN_FILTER
     plan = plan_family_orders(items, args.count)
-    if _over_scan_cap(max(plan.values(), default=0)):
+    if _over_scan_cap(max((family.order for family in plan.values()),
+                          default=0)):
         return EXIT_SCAN_BUDGET
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
@@ -192,8 +197,8 @@ def cmd_scan(args: argparse.Namespace) -> int:
     need = p * (count - 1) + r + 1
     if _over_scan_cap(need):
         return EXIT_SCAN_BUDGET
-    series = family_series(s, t, m, need)
-    residues = [series.coeffs[p * n + r] for n in range(count)]
+    series, = read_progressions((s, t), m, [(p, r)], count)
+    residues = list(series.coeffs)
     all_zero = all(v == 0 for v in residues)
     if args.format == "json":
         print(json.dumps({"s": s, "t": t, "p": p, "r": r, "mod": m,

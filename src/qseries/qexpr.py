@@ -32,7 +32,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import NamedTuple, Union
+from typing import Callable, NamedTuple, Union
 
 from . import qfunctions
 from .series import CoefficientRing, EXACT, SeriesError, TruncatedSeries
@@ -419,14 +419,27 @@ def to_text(e: QExpr) -> str:
 
 @dataclass(frozen=True)
 class EvalContext:
-    """Target truncation order and coefficient ring for evaluation."""
+    """Target truncation order and coefficient ring for evaluation, and
+    the class of coefficients kept: residue, residue + step, ... below
+    the order (by default all of them)."""
 
     order: int
     ring: CoefficientRing = EXACT
+    step: int = 1
+    residue: int = 0
 
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("evaluation order must be positive")
+        if self.step < 1:
+            raise ValueError(f"step must be positive, got {self.step}")
+        if not 0 <= self.residue < self.step:
+            raise ValueError(f"residue must lie in [0, {self.step}), "
+                             f"got {self.residue}")
+
+
+class _EmptyClass(Exception):
+    """A class evaluation whose class has no coefficient below the order."""
 
 
 @lru_cache(maxsize=16)
@@ -501,11 +514,19 @@ class _Quotient:
         """The plain part c * q^a * prod(rest) as a series."""
         return replace(self, atoms={}).series(ring)
 
-    def series(self, ring: CoefficientRing) -> TruncatedSeries:
-        """The value, by the planner :func:`qfunctions.eta_quotient`."""
+    def series(self, ring: CoefficientRing, step: int = 1,
+               residue: int = 0) -> TruncatedSeries:
+        """The value, or its coefficients residue, residue + step, ...,
+        by the planner :func:`qfunctions.eta_quotient`.  Past q^a the
+        class is the planner's class residue - a (mod step), after the
+        -d zeros the class has below q^a."""
+        size = (self.order - residue + step - 1) // step
+        if size < 1:
+            raise _EmptyClass
+        d, r = divmod(residue - self.a, step)
         n = self.order - self.a
-        if n < 1:
-            return TruncatedSeries.zero(ring, self.order)
+        if n <= r:
+            return TruncatedSeries.zero(ring, size)
         factors = list(self.rest)
         exponents: Counter = Counter()
         for key, e in self.atoms.items():
@@ -520,14 +541,15 @@ class _Quotient:
                 a, b = qfunctions.SEPTIC_THETA[septic.letter]
                 exponents[k * a, k * b] += e
                 exponents[2 * k] -= e
-        result = qfunctions.eta_quotient(exponents, n, ring, factors)
+        result = qfunctions.eta_quotient(exponents, n, ring, factors, step, r)
         if self.c != 1:
             result = result.scalar_mul(self.c)
-        return result.shift(self.a) if self.a else result
+        return result.shift(-d) if d else result
 
 
 def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
-    """Evaluate a Mul/Div/Pow/Neg tree as one record, without recursion.
+    """Evaluate a Mul/Div/Pow/Neg tree as one record, without recursion,
+    on the context's class.
 
     Euler products, thetas, septic quotients, integers and q are read
     into the record, and the sign of a negated factor into c; any other
@@ -537,6 +559,7 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
     whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
+    whole = EvalContext(n, ring)
     values: list[_Quotient] = []
     stack: list[tuple[QExpr, bool]] = [(root, False)]
     while stack:
@@ -565,10 +588,10 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
                           else _Quotient(node.value, 0, n))
         else:
             key = _atom(node)
-            values.append(_Quotient(1, 0, n, (evaluate(node, ctx),))
+            values.append(_Quotient(1, 0, n, (evaluate(node, whole),))
                           if key is None
                           else _Quotient(1, 0, n, atoms={key: 1}))
-    return values[0].series(ring)
+    return values[0].series(ring, ctx.step, ctx.residue)
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
@@ -576,9 +599,18 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
 
     The result's order can fall below ctx.order when a division cancels a
     common q-valuation; callers compare series only on the order actually
-    achieved.
+    achieved.  With a step above 1 the result is the context's class:
+    the same coefficients, order and errors as evaluate(e, whole context)
+    .extract(step, residue), computing only that class where it can.
     """
     n, ring = ctx.order, ctx.ring
+    if ctx.step > 1:
+        try:
+            return _evaluate_class(e, ctx)
+        except _EmptyClass:
+            # the whole evaluation raises what it would, then extract
+            whole = evaluate(e, EvalContext(n, ring))
+            return whole.extract(ctx.step, ctx.residue)
     try:
         if isinstance(e, IntLit):
             return TruncatedSeries.one(ring, n).scalar_mul(e.value)
@@ -599,19 +631,42 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
         if isinstance(e, (Mul, Div, Pow, Neg)):
             return _product(e, ctx)
         if isinstance(e, (Add, Sub)):
-            # a left-leaning sum is added up along its left spine, so a
-            # long flat sum needs no recursion
-            spine = _left_spine(e, (Add, Sub))
-            total = evaluate(spine[-1].left, ctx)
-            for node in reversed(spine):
-                right = evaluate(node.right, ctx)
-                total = total + right if isinstance(node, Add) else total - right
-            return total
+            return _sum(e, lambda term: evaluate(term, ctx))
     except EvalError:
         raise
     except SeriesError as exc:
         raise EvalError(str(exc), to_text(e)) from exc
     raise TypeError(f"not a QExpr node: {e!r}")
+
+
+def _sum(e: QExpr, value: Callable[[QExpr], TruncatedSeries]
+         ) -> TruncatedSeries:
+    """A sum of terms evaluated by value: a left-leaning sum is added up
+    along its left spine, so a long flat sum needs no recursion."""
+    spine = _left_spine(e, (Add, Sub))
+    total = value(spine[-1].left)
+    for node in reversed(spine):
+        right = value(node.right)
+        total = total + right if isinstance(node, Add) else total - right
+    return total
+
+
+def _evaluate_class(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
+    """The class of evaluate(e): a record shifts its class past q^a and
+    plans it, a sum adds the classes of its terms, and any other node is
+    evaluated whole and extracted.  Raises _EmptyClass for a class with
+    no coefficient."""
+    if isinstance(e, (Add, Sub)):
+        return _sum(e, lambda term: _evaluate_class(term, ctx))
+    if isinstance(e, (Mul, Div, Pow, Neg)):
+        try:
+            return _product(e, ctx)
+        except SeriesError as exc:
+            raise EvalError(str(exc), to_text(e)) from exc
+    whole = evaluate(e, EvalContext(ctx.order, ctx.ring))
+    if whole.order <= ctx.residue:
+        raise _EmptyClass
+    return whole.extract(ctx.step, ctx.residue)
 
 
 def evaluate_text(text: str, order: int,

@@ -171,15 +171,18 @@ def regular_series(ell: int, order: int,
 
 
 def bipartition_series(s: int, t: int, order: int,
-                       ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """Generating function of (s,t)-regular bipartitions: f_s f_t / f_1^2.
+                       ring: CoefficientRing = EXACT, step: int = 1,
+                       residue: int = 0) -> TruncatedSeries:
+    """Generating function of (s,t)-regular bipartitions: f_s f_t / f_1^2,
+    or its coefficients residue, residue + step, ... below order.
 
     Coefficient n counts pairs (lambda, mu) with |lambda| + |mu| = n,
     lambda s-regular and mu t-regular.
     """
     if s <= 1 or t <= 1:
         raise ValueError(f"regularity indices must exceed 1, got ({s}, {t})")
-    return eta_quotient({**Counter((s, t)), 1: -2}, order, ring)
+    return eta_quotient({**Counter((s, t)), 1: -2}, order, ring, (), step,
+                        residue)
 
 
 def _terms(atom: Callable, key: int | tuple[int, int], order: int) -> int:
@@ -206,8 +209,11 @@ def _euler_cost(k: int, e: int, order: int) -> int:
 
 def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                  ring: CoefficientRing = EXACT,
-                 factors: Sequence[TruncatedSeries] = ()) -> TruncatedSeries:
-    """prod(factors) * prod f_k^e * prod f(-q^a, -q^b)^e, truncated.
+                 factors: Sequence[TruncatedSeries] = (), step: int = 1,
+                 residue: int = 0) -> TruncatedSeries:
+    """prod(factors) * prod f_k^e * prod f(-q^a, -q^b)^e, truncated, or
+    its coefficients residue, residue + step, ... below order: the same
+    series, with the same errors, as .extract(step, residue) of it.
 
     ``exponents`` maps k to the signed exponent of the Euler product f_k
     and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
@@ -238,6 +244,13 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     Every divisor has constant term 1, so each quotient is the unique
     one: the result is the same series, to the same order, as the whole
     quotient, in Z and in every Z/m.
+
+    For one class, after the rewrites, the atoms whose keys step
+    divides are series in q^step, which commute with extraction: they
+    are planned at the class's order with their keys divided by step,
+    and times the class of the rest.  The rest divides first and holds
+    back its densest numerator factor, so that only the last product
+    is restricted to the class (:meth:`TruncatedSeries.mul_extract`).
     """
     p = ring.modulus
     exponents = dict(exponents)
@@ -263,6 +276,25 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                 exponents[k] = e + c * p
                 exponents[pk] = e_pk - c
                 k = pk
+    if step == 1:
+        return _plan(exponents, order, ring, factors)
+    outer: dict = {}
+    for key in list(exponents):
+        if isinstance(key, tuple):
+            if not (key[0] % step or key[1] % step):
+                outer[key[0] // step, key[1] // step] = exponents.pop(key)
+        elif not key % step:
+            outer[key // step] = exponents.pop(key)
+    part = _plan(exponents, order, ring, factors, step, residue)
+    return _plan(outer, part.order, ring, (part,)) if outer else part
+
+
+def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
+          factors: Sequence[TruncatedSeries], step: int = 1,
+          residue: int = 0) -> TruncatedSeries:
+    """The series of :func:`eta_quotient`, after its rewrites, as
+    planned there; for one class the divisions come before the densest
+    numerator factor, whose product alone is restricted to the class."""
     # (nonzero terms, builder, power) of each numerator factor, and
     # (constructor, key, count) of each divisor; each series is built
     # only when used, so few are held besides the running result.
@@ -302,6 +334,7 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
             if cubes:
                 den.append((euler_cube, key, cubes))
     num.sort(key=itemgetter(0))
+    last = num.pop() if step > 1 and num else None
     result = None
     for build, group in groupby(num, itemgetter(1)):
         series = build()
@@ -315,4 +348,9 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
         divisor = atom(key, order, ring)
         for _ in range(count):
             result = result.divide(divisor)
-    return result
+    if step == 1:
+        return result
+    if last is None:
+        return result.extract(step, residue)
+    _, build, power = last
+    return result.mul_extract(build() ** power, step, residue)

@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Sequence
 
 
@@ -128,9 +128,12 @@ def _slot_bytes(bound: int, signed: bool) -> int:
 
 
 def _mul_costs(nza: int, nzb: int, n: int, ha: int, hb: int,
-               m: int) -> dict[Callable, float]:
+               m: int, size: int | None = None) -> dict[Callable, float]:
     """Estimated nanoseconds of each exact path for factors with
-    nza <= nzb nonzero terms of height ha and hb."""
+    nza <= nzb nonzero terms of height ha and hb, when size of the n
+    product coefficients are kept (all of them by default): only the
+    shift path computes no more than those."""
+    size = n if size is None else size
     digits = (ha.bit_length() + hb.bit_length()) // 30
     w = _slot_bytes(nza * ha * hb, not m)
     slot = _ARRAY_SLOT_NS if w in _UNSIGNED else _BYTES_SLOT_NS
@@ -139,31 +142,39 @@ def _mul_costs(nza: int, nzb: int, n: int, ha: int, hb: int,
                       + nzb * _TERM_NS),
         _mul_kronecker: (3 * n * slot
                          + _KARATSUBA_NS * (n * w * 8 / 30 + 1) ** 1.585),
-        _mul_shift: 2 * n * slot + nza * (_SHIFT_NS + _SHIFT_BYTE_NS * n * w),
+        _mul_shift: ((n + size) * slot
+                     + nza * (_SHIFT_NS + _SHIFT_BYTE_NS * size * w)),
     }
 
 
-def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int,
-                m: int) -> Sequence[int]:
-    """The n low coefficients of a*b, not yet reduced mod m (0: exact).
+def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int, m: int,
+                step: int = 1, residue: int = 0) -> Sequence[int]:
+    """Coefficients residue, residue + step, ... below n of a*b (the n
+    low ones by default), not yet reduced mod m (0: exact).
 
     a and b hold n coefficients each; residues mod m lie in [0, m).
+    The shift path computes only that class; the others compute every
+    coefficient and keep the class.
     """
+    size = (n - residue + step - 1) // step
     nza = n - a.count(0)
     nzb = n - b.count(0)
     if nzb < nza:
         a, b, nza, nzb = b, a, nzb, nza
     if not nza:
-        return [0] * n
+        return [0] * size
     ha = _height(a, m)
     hb = ha if b is a else _height(b, m)
-    costs = _mul_costs(nza, nzb, n, ha, hb, m)
+    costs = _mul_costs(nza, nzb, n, ha, hb, m, size)
     path = min(costs, key=costs.get)
-    if path is _mul_sparse:
-        return _mul_sparse(a, b, n)
     # Each product coefficient sums at most nza products of height ha*hb:
     # a proven bound, so no slot overflows into the next.
-    return path(a, b, n, _slot_bytes(nza * ha * hb, not m), not m)
+    w = _slot_bytes(nza * ha * hb, not m)
+    if path is _mul_shift:
+        return _mul_shift(a, b, n, w, not m, step, residue)
+    c = (_mul_sparse(a, b, n) if path is _mul_sparse
+         else _mul_kronecker(a, b, n, w, not m))
+    return c[residue::step] if step > 1 else c
 
 
 def _mul_sparse(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
@@ -196,43 +207,58 @@ def _mul_kronecker(a: Sequence[int], b: Sequence[int], n: int, w: int,
 
 
 def _mul_shift(a: Sequence[int], b: Sequence[int], n: int, w: int,
-               signed: bool) -> Sequence[int]:
-    """The n low coefficients of a*b, a the sparser factor, with w as
-    for _mul_kronecker (so that it also holds the sum of a's absolute
-    values, which the signed case takes off): only b is packed, once,
-    and shifted to each nonzero term of a.
+               signed: bool, step: int = 1,
+               residue: int = 0) -> Sequence[int]:
+    """Coefficients residue, residue + step, ... below n of a*b (the n
+    low ones by default), a the sparser factor, with w as for
+    _mul_kronecker (so that it also holds the sum of a's absolute
+    values, which the signed case takes off): each class of b mod step
+    that a term a_i reads, b[step*j + residue - i], is packed once and
+    shifted to each such term.
 
-    b is packed in reverse, slot n-1-j holding b_j, so shifting it right
-    by i slots keeps exactly the b_j with i + j < n, in the slots of
-    their product coefficients (also reversed): nothing is computed
-    past order n, and no int is wider than n slots.  Terms of a with one
-    value share one multiple of the packed b in Z/m, where a value times
-    a coefficient of b still fits its slot, so no carry crosses the cut.
+    A class is packed in reverse, its entry k in slot size-1-k, so
+    shifting it right to a_i's first coefficient of the class keeps
+    exactly the entries below order n, in the slots of their product
+    coefficients (also reversed): nothing past order n or outside the
+    class is computed, and no int is wider than the class.  Terms of a
+    with one value share one multiple of the packed class in Z/m, where
+    a value times a coefficient of b still fits its slot, so no carry
+    crosses the cut.  With step 1 the one class is b.
     """
-    groups: dict[int, list[int]] = {}
+    size = (n - residue + step - 1) // step
+    groups: dict[int, dict[int, list[int]]] = {}
+    sums = [0] * size if signed else None  # a's terms by first slot
     for i, v in zip(compress(range(n), a), filter(None, a)):
-        groups.setdefault(v, []).append(8 * w * i)
-    packed = _pack(b[::-1], w, signed)
-    if signed:
-        # A right shift truncates exactly only a nonnegative int, so
-        # every slot is biased by 2**(8*w - 1); the term a_i then adds
-        # a_i times the bias to coefficients i..n-1, taken off below.
-        packed += _biases(n, w)
+        d, c = divmod(residue - i, step)  # b's class c, from slot -d
+        if -d < size:
+            groups.setdefault(c, {}).setdefault(v, []).append(-8 * w * d)
+            if signed:
+                sums[-d] += v
     prod = 0
-    scaled = packed
-    for v, shifts in groups.items():
-        if not signed:
-            scaled = v * packed
-        for t in reversed(shifts):
-            prod += scaled >> t if not signed else v * (packed >> t)
-    # One accumulator, freed operands: summing each value's terms apart
-    # first, or unpacking with packed still alive, was up to a third
-    # faster at N = 97,159 but left a registry run's resident peak up to
-    # 1.5 MB higher.
-    del packed, scaled
+    for c, values in groups.items():
+        top = min(size, (n - c + step - 1) // step)  # class entries known
+        packed = (_pack(b[c + step * (top - 1)::-step], w, signed)
+                  << 8 * w * (size - top))
+        if signed:
+            # A right shift truncates exactly only a nonnegative int, so
+            # every slot is biased by 2**(8*w - 1); a term a_i then adds
+            # a_i times the bias to the coefficients from its first slot
+            # -d on, taken off below.
+            packed += _biases(size, w)
+        scaled = packed
+        for v, shifts in values.items():
+            if not signed:
+                scaled = v * packed
+            for t in reversed(shifts):
+                prod += scaled >> t if not signed else v * (packed >> t)
+        # One accumulator, freed operands: summing each value's terms
+        # apart first, or unpacking with packed still alive, was up to a
+        # third faster at N = 97,159 but left a registry run's resident
+        # peak up to 1.5 MB higher.
+        del packed, scaled
     if signed:
-        prod -= _pack(list(accumulate(a))[::-1], w, True) << 8 * w - 1
-    slots = _unpack(prod, n, w, signed)
+        prod -= _pack(list(accumulate(sums))[::-1], w, True) << 8 * w - 1
+    slots = _unpack(prod, size, w, signed)
     slots.reverse()
     return slots
 
@@ -339,23 +365,28 @@ def _quotient_unit_terms(num: Sequence[int], dnz: list[tuple[int, int]],
 
 def _quotient_gather(num: Sequence[int], dnz: list[tuple[int, int]],
                      c0inv: int, n: int, m: int) -> list[int]:
-    """The recurrence in Z/m for any terms: the gather's products with
-    the terms are summed.  Its trailing pads keep it returning a tuple
-    when one term is in range; map stops at the end of vals."""
-    g: list[int] = []
-    offsets: list[int] = []
-    vals: list[int] = []
-    get = None
+    """The recurrence in Z/m for any terms: the terms of one value share
+    one gather, and its sum one product, so a step takes at most m - 1
+    products.  g ends in a 0 that is no coefficient, one place past
+    g[i - 1]: the trailing pads, which keep a gather of one term
+    returning a tuple, read it and add nothing."""
+    g: list[int] = [0]
+    offsets: dict[int, list[int]] = {}
+    gathers: dict[int, Callable] = {}
+    j = 0
     for i in range(n):
-        if len(vals) < len(dnz) and dnz[len(vals)][0] == i:
-            k, v = dnz[len(vals)]
-            offsets.append(-k)
-            vals.append(v)
-            get = itemgetter(*offsets, *_pads(1, len(offsets)))
+        if j < len(dnz) and dnz[j][0] == i:
+            k, v = dnz[j]
+            j += 1
+            ks = offsets.setdefault(v, [])
+            ks.append(-k - 1)
+            gathers[v] = itemgetter(*ks, *_pads(1, len(ks)))
         s = num[i]
-        if vals:
-            s -= sum(map(mul, vals, get(g)))
-        g.append(s * c0inv % m)
+        for v, get in gathers.items():
+            s -= v * sum(get(g))
+        g[-1] = s * c0inv % m
+        g.append(0)
+    g.pop()
     return g
 
 
@@ -372,6 +403,21 @@ def _quotient_loop(num: Sequence[int], dnz: list[tuple[int, int]],
             s -= v * g[i - k]
         g[i] = s * c0inv  # c0inv is +-1
     return g
+
+
+def _class_size(order: int, p: int, r: int) -> int:
+    """How many coefficients p*n + r lie below order; raises unless p >= 1,
+    0 <= r < p and there is at least one."""
+    if p < 1:
+        raise ValueError(f"step must be positive, got {p}")
+    if not 0 <= r < p:
+        raise ValueError(f"residue must lie in [0, {p}), got {r}")
+    size = (order - r + p - 1) // p
+    if size < 1:
+        raise ValuationError(
+            f"extraction ({p},{r}) leaves no known coefficients "
+            f"(order {order})")
+    return size
 
 
 class TruncatedSeries:
@@ -548,10 +594,18 @@ class TruncatedSeries:
     def __mul__(self, other: TruncatedSeries | int) -> TruncatedSeries:
         if isinstance(other, int):
             return self.scalar_mul(other)
+        return self.mul_extract(other, 1, 0)
+
+    def mul_extract(self, other: TruncatedSeries, p: int,
+                    r: int) -> TruncatedSeries:
+        """(self * other).extract(p, r), the same series with the same
+        errors, without computing the other classes where the product
+        kernel can avoid them."""
         self._check_ring(other)
         n = min(self.order, other.order)
+        _class_size(n, p, r)
         return TruncatedSeries(self.ring, _mul_coeffs(
-            self.coeffs[:n], other.coeffs[:n], n, self.ring.modulus))
+            self.coeffs[:n], other.coeffs[:n], n, self.ring.modulus, p, r))
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
@@ -674,15 +728,7 @@ class TruncatedSeries:
         """Arithmetic-progression slice: coefficient n of the result is
         coefficient p*n + r of self ("extract, divide by q^r, replace q^p by q").
         """
-        if p < 1:
-            raise ValueError(f"step must be positive, got {p}")
-        if not 0 <= r < p:
-            raise ValueError(f"residue must lie in [0, {p}), got {r}")
-        n = (self.order - r + p - 1) // p
-        if n < 1:
-            raise ValuationError(
-                f"extraction ({p},{r}) leaves no known coefficients "
-                f"(order {self.order})")
+        _class_size(self.order, p, r)
         return TruncatedSeries(self.ring, self.coeffs[r::p])
 
     def substitute_power(self, k: int, cap: int | None = None) -> TruncatedSeries:

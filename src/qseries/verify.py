@@ -7,6 +7,12 @@ prime-power coefficient congruence f_p = f_1^p (mod p).  Running an item
 produces a :class:`VerificationReport` stating how far equality was
 checked and, on failure, the first mismatching coefficient.
 
+Only the residue class a check reads is computed: a dissection link
+(p, r) evaluates its seed on coefficients r, r + p, ... alone, and a run
+builds each bipartition family once, on the one class its scans read
+(see :func:`plan_family_orders`).  A scan still compares the family's
+own coefficients, read off that class.
+
 Chains deserve a note: iterating a dissection k times directly would
 need a seed series of order ~ final_order * p^k, which is astronomically
 large for the eleven-step chain.  Instead each link feeds the *stated*
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from math import gcd
+from typing import Callable, Iterator, NamedTuple, Union
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .qfunctions import bipartition_series, euler_f
@@ -132,14 +139,17 @@ class RegistryRun:
 # --------------------------------------------------------------------------
 
 def run_pipeline(pipeline: DissectionPipeline, ring, order: int) -> TruncatedSeries:
-    """Evaluate the seed at the given order, then apply each extraction.
+    """Evaluate the seed at the given order, then apply each extraction;
+    the seed is evaluated on the first step's class only.
 
     Every step divides the available order by its step size, so callers
     must budget order >= desired_final_order * product(steps); an
     over-extraction that leaves nothing raises ValuationError.
     """
-    series = evaluate(parse_expr(pipeline.seed), EvalContext(order, ring))
-    for p, r in pipeline.steps:
+    steps = pipeline.steps or ((1, 0),)
+    series = evaluate(parse_expr(pipeline.seed),
+                      EvalContext(order, ring, *steps[0]))
+    for p, r in steps[1:]:
         series = series.extract(p, r)
     return series
 
@@ -153,15 +163,19 @@ def seed_order_for(final_order: int, steps: tuple[tuple[int, int], ...]) -> int:
 
 
 # Modular bipartition series are reused across many scans; cache the
-# largest one computed per (s, t, modulus).
-_family_cache: dict[tuple[int, int, int], TruncatedSeries] = {}
+# longest one computed per (s, t, modulus, step, residue).
+_family_cache: dict[tuple[int, int, int, int, int], TruncatedSeries] = {}
 
 
-def family_series(s: int, t: int, modulus: int, order: int) -> TruncatedSeries:
-    key = (s, t, modulus)
+def family_series(s: int, t: int, modulus: int, order: int, step: int = 1,
+                  residue: int = 0) -> TruncatedSeries:
+    """Coefficients residue, residue + step, ... below order (by default
+    all of them) of B_{s,t} mod modulus, or more of them."""
+    key = (s, t, modulus, step, residue)
     cached = _family_cache.get(key)
-    if cached is None or cached.order < order:
-        cached = bipartition_series(s, t, order, mod_ring(modulus))
+    if cached is None or cached.order < (order - residue + step - 1) // step:
+        cached = bipartition_series(s, t, order, mod_ring(modulus), step,
+                                    residue)
         _family_cache[key] = cached
     return cached
 
@@ -170,7 +184,17 @@ def clear_family_cache() -> None:
     _family_cache.clear()
 
 
-FamilyOrders = dict[tuple[int, int, int], int]
+class FamilyPlan(NamedTuple):
+    """The order a run's scans need of a family, and the one class
+    (step, residue) of its coefficients that they read."""
+
+    order: int
+    step: int
+    residue: int
+
+
+FamilyOrders = dict[tuple[int, int, int], FamilyPlan]
+Progression = tuple[int, int]  # (step, offset): coefficients step*n + offset
 
 
 def _require_in_range(**values: int | None) -> None:
@@ -183,33 +207,68 @@ def _require_in_range(**values: int | None) -> None:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def scan_order(check: CongruenceCheck, count: int | None = None) -> int:
-    """Family series order a scan needs: one past the highest coefficient
-    index either progression reaches for n below the count."""
-    cnt = count if count is not None else check.count
-    a1, b1 = check.lhs
-    need = a1 * (cnt - 1) + b1 + 1
-    if check.rhs is not None:
-        a2, b2 = check.rhs
-        need = max(need, a2 * (cnt - 1) + b2 + 1)
-    return need
+def _progressions(check: CongruenceCheck) -> list[Progression]:
+    return [check.lhs] + ([check.rhs] if check.rhs is not None else [])
+
+
+def _reach(progressions: list[Progression], count: int) -> int:
+    """Family series order the progressions need: one past the highest
+    coefficient index they reach for n below the count."""
+    return max(a * (count - 1) + b + 1 for a, b in progressions)
+
+
+def _class_of(progressions: list[Progression]) -> tuple[int, int]:
+    """The coarsest class (step, residue) holding every progression:
+    step is the gcd of their steps and of their offsets' differences."""
+    step, first = 0, progressions[0][1]
+    for a, b in progressions:
+        step = gcd(step, a, b - first)
+    return step, first % step
 
 
 def plan_family_orders(items: list[RegistryItem],
                        count: int | None = None) -> FamilyOrders:
-    """The largest order the items' scans need, per (s, t, modulus).
+    """The largest order the items' scans need, per (s, t, modulus), and
+    the one class they all read.
 
     Passed to :func:`run_item`, it makes the first scan of a family build
-    the series once at the order every later scan of that family needs,
+    that class once at the order every later scan of that family needs,
     instead of rebuilding it each time a scan needs more.
     """
-    plan: FamilyOrders = {}
+    needs: dict[tuple[int, int, int], tuple[int, list[Progression]]] = {}
     for item in items:
         for check in item.checks:
             if isinstance(check, CongruenceCheck):
                 key = (*check.family, check.modulus)
-                plan[key] = max(plan.get(key, 0), scan_order(check, count))
-    return plan
+                order, seen = needs.get(key, (0, []))
+                progressions = _progressions(check)
+                cnt = count if count is not None else check.count
+                needs[key] = (max(order, _reach(progressions, cnt)),
+                              seen + progressions)
+    return {key: FamilyPlan(order, *_class_of(seen))
+            for key, (order, seen) in needs.items()}
+
+
+def read_progressions(family: tuple[int, int], modulus: int,
+                      progressions: list[Progression], count: int,
+                      plan: FamilyPlan | None = None
+                      ) -> list[TruncatedSeries]:
+    """B_{s,t}(a*n + b) mod modulus for n below count, one series per
+    progression (a, b), all read off one class of the family: the
+    coarsest class holding them, or holding them and the plan's class,
+    built to at least the plan's order."""
+    order = _reach(progressions, count)
+    classes = progressions
+    if plan is not None:
+        order = max(order, plan.order)
+        classes = [(plan.step, plan.residue), *progressions]
+    step, residue = _class_of(classes)
+    series = family_series(*family, modulus, order, step, residue)
+    # a slice, not extract(): an offset may exceed its step here
+    return [TruncatedSeries(series.ring,
+                            series.coeffs[(b - residue) // step::a // step]
+                            [:count])
+            for a, b in progressions]
 
 
 # A check yields (lhs, rhs, extra) pairs of series; extra(index) gives the
@@ -237,20 +296,12 @@ def _pairs(check: Check, order: int | None = None, count: int | None = None,
                lambda index: {})
     elif isinstance(check, CongruenceCheck):
         cnt = count if count is not None else check.count
-        s, t = check.family
-        need = scan_order(check, count)
-        if family_orders:
-            need = max(need, family_orders.get((s, t, check.modulus), 0))
-        family = family_series(s, t, check.modulus, need)
-
-        def progression(step: int, offset: int) -> TruncatedSeries:
-            # a slice, not extract(): an offset may exceed its step here
-            return TruncatedSeries(family.ring, family.coeffs[offset::step][:cnt])
-
+        plan = (family_orders or {}).get((*check.family, check.modulus))
+        lhs, *rhs = read_progressions(check.family, check.modulus,
+                                      _progressions(check), cnt, plan)
         a1, b1 = check.lhs
-        rhs = (TruncatedSeries.zero(family.ring, cnt) if check.rhs is None
-               else progression(*check.rhs).scalar_mul(check.multiplier))
-        yield (progression(a1, b1), rhs,
+        yield (lhs, (rhs[0].scalar_mul(check.multiplier) if rhs
+                     else TruncatedSeries.zero(lhs.ring, cnt)),
                lambda index: {"coefficient_index": a1 * index + b1})
     else:
         n = order if order is not None else check.order
@@ -322,7 +373,8 @@ def check_congruence(check: CongruenceCheck, count: int | None = None,
     """Scan a congruence between two arithmetic progressions of a family.
 
     The family is built to at least the order ``family_orders`` plans for
-    it (see :func:`plan_family_orders`).
+    it, on a class holding the planned one (see
+    :func:`plan_family_orders`).
     """
     _require_in_range(count=count, perturb=perturb)
     return _compare(check.name, (check,), perturb, count=count,

@@ -13,6 +13,7 @@ from qseries.cli import (
     main,
 )
 from qseries.qfunctions import euler_f
+from qseries.series import mod_ring
 
 
 class TestExpand:
@@ -223,6 +224,24 @@ class TestScan:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "n,residue"
         assert len(lines) == 5  # header + 3 rows + summary comment
+
+    def test_builds_only_the_scanned_class(self, capsys, monkeypatch):
+        import qseries.verify as verify_mod
+        builds = []
+        build = verify_mod.bipartition_series
+
+        def counted(s, t, order, ring, step, residue):
+            builds.append((s, t, ring.modulus, order, step, residue))
+            return build(s, t, order, ring, step, residue)
+
+        monkeypatch.setattr(verify_mod, "_family_cache", {})
+        monkeypatch.setattr(verify_mod, "bipartition_series", counted)
+        assert main(["scan", "2", "15", "9", "7", "5", "50",
+                     "--format", "json"]) == EXIT_OK
+        assert builds == [(2, 15, 5, 9 * 49 + 7 + 1, 9, 7)]
+        whole = build(2, 15, 9 * 49 + 7 + 1, mod_ring(5))
+        residues = json.loads(capsys.readouterr().out)["residues"]
+        assert residues == [whole[9 * n + 7] for n in range(50)]
 
     def test_budget_exceeded(self, capsys):
         count = SCAN_ORDER_CAP // 81 + 2

@@ -15,7 +15,7 @@ from qseries.qfunctions import (
     ramanujan_theta,
     regular_series,
 )
-from qseries.series import mod_ring
+from qseries.series import EXACT, mod_ring
 
 
 def pentagonal_recurrence(bound):
@@ -99,6 +99,16 @@ class TestCountBipartitions:
         # the oracle counts in Z and knows nothing of that
         want = [c % m for c in count_bipartitions(s, t, 1000)]
         assert want == list(bipartition_series(s, t, 1000, mod_ring(m)).coeffs)
+
+    @pytest.mark.parametrize("s,t,m,step,residue", [(27, 11, 11, 27, 12),
+                                                    (2, 15, 5, 3, 2)])
+    def test_matches_class_builds(self, s, t, m, step, residue):
+        # the class the registry's scans of the family read, built alone
+        counts = count_bipartitions(s, t, 2000)
+        for ring in (EXACT, mod_ring(m)):
+            built = bipartition_series(s, t, 2000, ring, step, residue)
+            assert list(built.coeffs) == [
+                c % m if ring.modulus else c for c in counts[residue::step]]
 
     def test_validation(self):
         with pytest.raises(ValueError):

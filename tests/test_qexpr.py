@@ -2,6 +2,9 @@ import hashlib
 import json
 import os
 import random
+import re
+from collections import Counter
+from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -31,7 +34,8 @@ from qseries.qexpr import (
     tokenize,
 )
 from qseries.qfunctions import bipartition_series, euler_f, ramanujan_theta
-from qseries.series import EXACT, SeriesError, TruncatedSeries, mod_ring
+from qseries.series import (EXACT, SeriesError, TruncatedSeries,
+                            ValuationError, mod_ring)
 from qseries.verify import REGISTRY, DissectionPipeline
 
 
@@ -441,6 +445,67 @@ class TestQuotientRecord:
         assert negated_divisor == divisor_terms
         assert len(negated_divisor) == 2
         assert max(negated_divisor) <= isqrt(2 * n) + 1
+
+
+CLASS_RINGS = [EXACT] + [mod_ring(m) for m in (2, 5, 11, 17, 4, 6, 9)]
+
+
+def _class_outcome(compute):
+    """(order, coefficients), or the error's type, its cause's type and
+    its message."""
+    try:
+        got = compute()
+    except (EvalError, SeriesError) as exc:
+        return type(exc), type(exc.__cause__), str(exc)
+    return got.order, got.coeffs
+
+
+class TestClassEvaluation:
+    """Evaluating on one class (step, residue) against extracting it from
+    the whole evaluation: coefficients, order and errors."""
+
+    @pytest.mark.parametrize("ring", CLASS_RINGS, ids=str)
+    def test_every_class_matches_extract(self, ring):
+        rng = random.Random(1618 + ring.modulus)
+        outcomes = Counter()
+        for step in range(1, 31):
+            tree = _random_subtree(rng, rng.randint(1, 4))
+            for _ in range(rng.randint(0, 2)):
+                other = _random_subtree(rng, rng.randint(1, 3))
+                tree = (Add if rng.random() < 0.5 else Sub)(tree, other)
+            whole = EvalContext(rng.randint(1, 70), ring)
+            want_whole = _class_outcome(lambda: evaluate(tree, whole))
+            for residue in range(step):
+                ctx = replace(whole, step=step, residue=residue)
+                want = (want_whole if isinstance(want_whole[0], type) else
+                        _class_outcome(lambda: evaluate(tree, whole).extract(
+                            step, residue)))
+                got = _class_outcome(lambda: evaluate(tree, ctx))
+                assert got == want, (to_text(tree), ctx)
+                outcomes[want[0] if isinstance(want[0], type) else "ok"] += 1
+        # values, evaluation errors and empty classes are all exercised
+        assert outcomes["ok"] and outcomes[EvalError] and \
+            outcomes[ValuationError]
+
+    @pytest.mark.parametrize("text", [
+        "f1^5", "f2*f15/f1^2", "3*q^4*f27*f1^9/theta(3,6)^2",
+        "-(q^2*f9^2*A(q^3))/(q*f3)", "f1^3 - f3*a(q^3) + 3*q*f9^3",
+        "a(q^2)*(1+q)*f6"])
+    def test_named_classes(self, text):
+        tree = parse_expr(text)
+        for ring in (EXACT, mod_ring(11)):
+            whole = evaluate(tree, EvalContext(400, ring))
+            for step, residue in ((3, 0), (3, 2), (9, 4), (27, 12), (7, 6)):
+                ctx = EvalContext(400, ring, step, residue)
+                assert evaluate(tree, ctx) == whole.extract(step, residue)
+
+    @pytest.mark.parametrize("step, residue", [(0, 0), (-2, 0), (3, 3),
+                                               (3, -1)])
+    def test_context_validation(self, step, residue):
+        with pytest.raises(ValueError) as want:
+            TruncatedSeries.one(EXACT, 5).extract(step, residue)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            EvalContext(5, EXACT, step, residue)
 
 
 def test_expand_reference_digests():

@@ -20,7 +20,7 @@ from qseries.qfunctions import (
     regular_series,
     septic_ABC,
 )
-from qseries.series import EXACT, TruncatedSeries, mod_ring
+from qseries.series import EXACT, SeriesError, TruncatedSeries, mod_ring
 
 
 class TestEulerF:
@@ -227,6 +227,62 @@ class TestFrobeniusFold:
         bipartition_series(243, 17, n, mod_ring(17))
         with pytest.raises(AssertionError, match="divided"):
             bipartition_series(27, 11, n, mod_ring(4))
+
+
+CLASS_RINGS = [EXACT] + [mod_ring(m) for m in (2, 5, 11, 17, 4, 6, 9)]
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (ValueError, SeriesError) as exc:
+        return type(exc), str(exc)
+
+
+class TestClassPlanner:
+    """eta_quotient on one class (step, residue) against the class of
+    the whole quotient: same coefficients, order and errors."""
+
+    @pytest.mark.parametrize("ring", CLASS_RINGS, ids=str)
+    def test_class_equals_extract_of_the_whole(self, rng, ring):
+        m = ring.modulus
+        for _ in range(6):
+            n = rng.randint(1, 80)
+            exponents, factors = _fold_case(rng, m, n)
+            if m:
+                factors = [f.reduce_mod(m) for f in factors]
+            whole = eta_quotient(exponents, n, ring, factors)
+            for step in range(1, 13):
+                for residue in range(step):
+                    assert _outcome(lambda: eta_quotient(
+                        exponents, n, ring, factors, step, residue)) == \
+                        _outcome(lambda: whole.extract(step, residue)), \
+                        (exponents, n, step, residue)
+
+    def test_atoms_in_q_to_the_step_are_built_at_the_class_order(
+            self, monkeypatch):
+        built = []
+
+        def recording(constructor):
+            def build(k, order, ring=EXACT):
+                built.append((constructor.__name__, k, order))
+                return constructor(k, order, ring)
+            return build
+
+        for name in ("euler_f", "euler_cube"):
+            monkeypatch.setattr(qfunctions, name,
+                                recording(getattr(qfunctions, name)))
+        ring = mod_ring(11)
+        whole = bipartition_series(27, 11, 5000, ring)
+        assert sorted(built) == [("euler_cube", 1, 5000)] + [
+            ("euler_f", 27, 5000)]  # f_27 f_1^9, the cubes built once
+        built.clear()
+        # f_27 = f_1(q^27) is built at the class's 185 coefficients, the
+        # cubes at the whole order
+        got = bipartition_series(27, 11, 5000, ring, 27, 12)
+        assert got == whole.extract(27, 12) and got.order == 185
+        assert ("euler_f", 1, 185) in built
+        assert set(built) - {("euler_f", 1, 185)} == {("euler_cube", 1, 5000)}
 
 
 class TestRamanujanTheta:

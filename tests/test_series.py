@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -233,6 +234,18 @@ def all_paths(a, b, m):
             list(series._mul_shift(sparse, dense, n, w, not m)))
 
 
+def shift_classes(a, b, m, steps=(2, 3, 7)):
+    """The shift path's class (step, residue) of a*b for every residue of
+    each step, keyed by class, at the slot width of all_paths."""
+    n = len(a)
+    nonzero = min(n - a.count(0), n - b.count(0))
+    ha, hb = series._height(a, m), series._height(b, m)
+    w = series._slot_bytes(max(nonzero * ha * hb, ha, hb), not m)
+    sparse, dense = (a, b) if a.count(0) >= b.count(0) else (b, a)
+    return {(p, r): list(series._mul_shift(sparse, dense, n, w, not m, p, r))
+            for p in steps for r in range(min(p, n))}
+
+
 def kernel_operand(rng, ring, n, kind, density=1.0):
     m = ring.modulus
     if kind == "zero":
@@ -270,6 +283,8 @@ class TestMulKernel:
         assert sparse == expected
         assert kronecker == expected
         assert shift == expected
+        for (p, r), got in shift_classes(a, b, ring.modulus).items():
+            assert got == expected[r::p], (p, r)
 
     @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
     def test_paths_agree_at_order_5000(self, ring):
@@ -304,6 +319,8 @@ class TestMulKernel:
         sparse, kronecker, shift = all_paths(a, a, m)
         assert sparse == kronecker == shift == [(k + 1) * (m - 1) ** 2
                                                 for k in range(n)]
+        for (p, r), got in shift_classes(a, a, m, (2, 3)).items():
+            assert got == shift[r::p], (p, r)
 
     @pytest.mark.parametrize("h, width", [
         (2**15 - 1, 4), (2**15, 8),                  # bound 2*h*h near 2**31
@@ -316,6 +333,8 @@ class TestMulKernel:
             sparse, kronecker, shift = all_paths(x, y, 0)
             assert sparse == kronecker == shift == [schoolbook(x, y, k)
                                                     for k in range(2)]
+            assert shift_classes(x, y, 0, (2,)) == {(2, 0): shift[:1],
+                                                    (2, 1): shift[1:]}
 
     def test_dispatch_takes_each_path(self, monkeypatch):
         taken = []
@@ -336,6 +355,41 @@ class TestMulKernel:
             assert (x * y).coeffs == tuple(
                 schoolbook(x.coeffs, y.coeffs, k) % 11 for k in range(600))
             assert taken == [path]
+
+    def test_one_class_on_each_path(self, monkeypatch):
+        # mul_extract computes only the class on the shift path, and the
+        # whole product, then the class, on the other two
+        taken, seen = [], set()
+        for name in ("_mul_sparse", "_mul_kronecker", "_mul_shift"):
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name,
+                                lambda *args, real=real, name=name:
+                                taken.append(name) or real(*args))
+        for ring in (EXACT, mod_ring(11)):
+            dense = random_series(random.Random(5), ring, order=600)
+            monomial = TruncatedSeries.monomial(ring, 600, 5, 3)
+            f5, f7 = euler_f(5, 600, ring), euler_f(7, 600, ring)
+            for x, y in ((dense, dense), (monomial, dense), (dense, f7),
+                         (f5, f7), (f7, dense.truncate(599))):
+                whole = x * y
+                for p, r in ((1, 0), (2, 1), (27, 12), (599, 598), (600, 0),
+                             (1000, 598)):
+                    taken.clear()
+                    assert x.mul_extract(y, p, r) == whole.extract(p, r)
+                    assert len(taken) == 1
+                    seen.update(taken)
+        assert seen == {"_mul_sparse", "_mul_kronecker", "_mul_shift"}
+
+    @pytest.mark.parametrize("p, r", [(0, 0), (3, 3), (3, -1), (7, 5)])
+    def test_one_class_fails_as_extract_does(self, p, r):
+        x = S(1, 2, 3, 4, 5, ring=mod_ring(5))
+        y = S(1, 1, 1, 1, 1, 1, ring=mod_ring(5))
+        with pytest.raises((ValueError, ValuationError)) as want:
+            (x * y).extract(p, r)
+        with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
+            x.mul_extract(y, p, r)
+        with pytest.raises(RingMismatchError):
+            x.mul_extract(S(1, 1), 1, 0)
 
     def test_oracle_needs_no_kernel(self, monkeypatch):
         def no_kernel(*args):
@@ -503,6 +557,23 @@ class TestModularGather:
         got = S(*num, ring=ring) / S(*den, ring=ring)
         n = min(len(num), len(den))
         assert list(got.coeffs) == schoolbook_quotient(num[:n], den[:n], m)
+
+    @pytest.mark.parametrize("m", [5, 7, 11, 4, 9])
+    def test_jacobi_cube_matches_the_general_recurrence(self, monkeypatch,
+                                                        rng, m):
+        # the cube's terms (-1)^n (2n+1) take up to m - 1 values mod m
+        # (all are 1 mod 4); each value's terms share one gather
+        sizes = set()
+        real = series.itemgetter
+        monkeypatch.setattr(series, "itemgetter", lambda *items: sizes.add(
+            len(items)) or real(*items))
+        n = 1500
+        den = euler_cube(1, n, mod_ring(m)).coeffs
+        num = [rng.randrange(m) for _ in range(n)]
+        dnz = [(k, v) for k, v in enumerate(den) if v and k]
+        got = series._quotient_gather(num, dnz, 1, n, m)
+        assert got == schoolbook_quotient(num, den, m)
+        assert 20 not in sizes and len(sizes) > 1
 
     @pytest.mark.parametrize("m, c0", [(11, 3), (11, 1), (17, 16), (6, 5),
                                        (4, 3), (2, 1)])

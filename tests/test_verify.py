@@ -14,10 +14,12 @@ from qseries.verify import (
     REGISTRY,
     CongruenceCheck,
     DissectionPipeline,
+    FamilyPlan,
     IdentityCheck,
     check_congruence,
     check_identity,
     plan_family_orders,
+    read_progressions,
     registry_ids,
     run_item,
     run_pipeline,
@@ -78,6 +80,22 @@ class TestPipeline:
     def test_seed_order_budget(self):
         assert seed_order_for(200, ((7, 4),)) == 199 * 7 + 4 + 1
         assert seed_order_for(10, ((3, 1), (3, 2))) == ((10 - 1) * 3 + 2 + 1 - 1) * 3 + 1 + 1
+
+    def test_seed_is_evaluated_on_the_first_class(self, monkeypatch):
+        contexts = []
+        real = verify_mod.evaluate
+
+        def recorded(node, ctx):
+            contexts.append((ctx.step, ctx.residue))
+            return real(node, ctx)
+
+        monkeypatch.setattr(verify_mod, "evaluate", recorded)
+        pipe = DissectionPipeline("f7*f1^9", ((7, 4), (7, 4)))
+        got = run_pipeline(pipe, mod_ring(11), seed_order_for(40, pipe.steps))
+        assert contexts == [(7, 4)]
+        whole = evaluate_text("f7*f1^9", seed_order_for(40, pipe.steps),
+                              mod_ring(11))
+        assert got == whole.extract(7, 4).extract(7, 4)
 
     def test_over_extraction_is_error(self):
         from qseries.series import ValuationError
@@ -160,11 +178,20 @@ class TestCheckCongruence:
          {"index": 5, "lhs": 3, "rhs": 0, "coefficient_index": 40}),
     ], ids=["all-zero", "one-nonzero"])
     def test_scan_of_a_given_series(self, monkeypatch, coeffs, mismatch):
-        # the cache hands this series to the scan as the (2, 15) family mod 5
+        # the builder hands the class (8, 0) of this series to the scan as
+        # the (2, 15) family mod 5, built once to the order the scan needs
         given = TruncatedSeries(mod_ring(5), coeffs)
-        monkeypatch.setattr(verify_mod, "_family_cache", {(2, 15, 5): given})
+        builds = []
+
+        def build(s, t, order, ring, step, residue):
+            builds.append((s, t, ring.modulus, order, step, residue))
+            return given.truncate(order).extract(step, residue)
+
+        monkeypatch.setattr(verify_mod, "_family_cache", {})
+        monkeypatch.setattr(verify_mod, "bipartition_series", build)
         check = CongruenceCheck("given", (2, 15), (8, 0), None, 5, 10)
         rep = check_congruence(check)
+        assert builds == [(2, 15, 5, 8 * 9 + 1, 8, 0)]
         assert (rep.status, rep.order, rep.mismatch) == \
             ("pass" if mismatch is None else "fail", 10, mismatch)
 
@@ -184,13 +211,14 @@ class TestCheckCongruence:
 
 @pytest.fixture
 def family_builds(monkeypatch):
-    """(s, t, modulus, order) of every family build, from an empty cache."""
+    """(s, t, modulus, order, step, residue) of every family build, from
+    an empty cache."""
     builds = []
     build = verify_mod.bipartition_series
 
-    def counted(s, t, order, ring):
-        builds.append((s, t, ring.modulus, order))
-        return build(s, t, order, ring)
+    def counted(s, t, order, ring, step, residue):
+        builds.append((s, t, ring.modulus, order, step, residue))
+        return build(s, t, order, ring, step, residue)
 
     monkeypatch.setattr(verify_mod, "_family_cache", {})
     monkeypatch.setattr(verify_mod, "bipartition_series", counted)
@@ -200,13 +228,29 @@ def family_builds(monkeypatch):
 class TestFamilyPlan:
     def test_count_override_sets_build_order(self, family_builds, capsys):
         assert main(["verify", "--filter", "b215", "--count", "50"]) == 0
-        # the deepest b215 progression is 27n+23
-        assert family_builds == [(2, 15, 5, 27 * 49 + 23 + 1)]
+        # the deepest b215 progression is 27n+23; all of them read 3n+2
+        assert family_builds == [(2, 15, 5, 27 * 49 + 23 + 1, 3, 2)]
 
     def test_no_scans_no_builds(self, family_builds, capsys):
         assert plan_family_orders(select_items("lemmas")) == {}
         assert main(["verify", "--filter", "lemmas", "--order", "30"]) == 0
         assert family_builds == []
+
+    def test_one_class_per_family(self):
+        # the gcd of every step and offset difference a family's scans read
+        assert plan_family_orders(select_items(None)) == {
+            (2, 15, 5): FamilyPlan(27 * 999 + 23 + 1, 3, 2),
+            (27, 11, 11): FamilyPlan(243 * 399 + 201 + 1, 27, 12),
+            (243, 17, 17): FamilyPlan(81 * 299 + 77 + 1, 27, 23)}
+
+    def test_progressions_outside_the_plan_widen_its_class(
+            self, family_builds):
+        plan = FamilyPlan(300, 27, 12)
+        got = read_progressions((27, 11), 11, [(9, 3), (27, 39)], 10, plan)
+        whole = bipartition_series(27, 11, 300, mod_ring(11))
+        assert [list(g.coeffs) for g in got] == [
+            list(whole.coeffs[3::9][:10]), list(whole.coeffs[39::27][:10])]
+        assert family_builds == [(27, 11, 11, 300, 9, 3)]
 
 
 class TestRunItem:
@@ -257,6 +301,19 @@ class TestRunItem:
         rep = run_item(item, perturb=n - 1, **setting)
         assert (rep.status, rep.mismatch["index"]) == ("fail", n - 1)
 
+    @pytest.mark.parametrize("item_id", [
+        item.id for item in REGISTRY.values()
+        if item.kind == "scan" or any(
+            isinstance(getattr(check, "lhs", None), DissectionPipeline)
+            for check in item.checks)])
+    def test_perturbation_fails_class_built_checks(self, item_id):
+        # scans read a class build, links evaluate their seeds on a class
+        item = REGISTRY[item_id]
+        setting = {"count": 8} if item.kind == "scan" else {"order": 30}
+        for perturb in (0, 7):
+            rep = run_item(item, perturb=perturb, **setting)
+            assert (rep.status, rep.mismatch["index"]) == ("fail", perturb)
+
     def test_congruence_count_checked_before_build(self, family_builds):
         with pytest.raises(ValueError, match="^count must be at least 1"):
             check_congruence(REGISTRY["b215-b1"].checks[0], count=0)
@@ -296,10 +353,12 @@ class TestRunRegistry:
 
     def test_full_registry_passes_at_default_settings(self, family_builds):
         run = run_registry()
-        # one build per family, at the order of its deepest scan
-        assert sorted(family_builds) == [(2, 15, 5, 27 * 999 + 23 + 1),
-                                         (27, 11, 11, 243 * 399 + 201 + 1),
-                                         (243, 17, 17, 81 * 299 + 77 + 1)]
+        # one build per family, at the order of its deepest scan, on the
+        # class all its scans read
+        assert sorted(family_builds) == [
+            (2, 15, 5, 27 * 999 + 23 + 1, 3, 2),
+            (27, 11, 11, 243 * 399 + 201 + 1, 27, 12),
+            (243, 17, 17, 81 * 299 + 77 + 1, 27, 23)]
         assert len(run.reports) == len(EXPECTED_IDS)
         assert run.all_passed
         ids = [r.id for r in run.reports]
