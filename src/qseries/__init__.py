@@ -50,14 +50,14 @@ from .verify import (
     BinomialCheck,
     CongruenceCheck,
     DissectionPipeline,
+    Families,
     IdentityCheck,
     REGISTRY,
     RegistryItem,
     RegistryRun,
     VerificationReport,
-    check_congruence,
-    check_identity,
     registry_ids,
+    run_check,
     run_item,
     run_pipeline,
     run_registry,
@@ -73,8 +73,8 @@ __all__ = [
     "EvalContext", "EvalError", "QSyntaxError", "tokenize", "parse",
     "parse_expr", "to_text", "evaluate", "evaluate_text",
     "DissectionPipeline", "IdentityCheck", "CongruenceCheck",
-    "BinomialCheck", "RegistryItem", "RegistryRun", "VerificationReport",
-    "REGISTRY", "registry_ids", "check_identity",
-    "check_congruence", "run_pipeline", "run_item", "run_registry",
+    "BinomialCheck", "Families", "RegistryItem", "RegistryRun",
+    "VerificationReport", "REGISTRY", "registry_ids", "run_check",
+    "run_pipeline", "run_item", "run_registry",
     "__version__",
 ]

@@ -9,7 +9,8 @@ Three subcommands:
 
 Exit codes are stable: 0 success, 1 verification failures, 2 bad input
 (an out-of-range option or an expression parse/evaluation error), 3
-unknown registry filter, 4 scan budget exceeded.  The environment
+unknown registry filter, 4 over budget: a scan past SCAN_ORDER_CAP, or
+an order too large to allocate or to index.  The environment
 variable QSERIES_DEFAULT_ORDER overrides the built-in default order of
 500; a value that is not a positive integer is ignored with a warning.
 """
@@ -23,8 +24,7 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import (plan_family_orders, read_progressions, run_item,
-                     select_items)
+from .verify import CongruenceCheck, Families, run_item, select_items
 
 # A scan needs the family series out to step*(count - 1) + offset + 1
 # coefficients.  Only one residue class of them is kept, but building it
@@ -64,8 +64,10 @@ def _bad_option(flag: str, value: int | None, least: int) -> bool:
     return True
 
 
-def _over_scan_cap(need: int) -> bool:
-    """Report a family series order above SCAN_ORDER_CAP on stderr."""
+def _over_scan_cap(families: Families) -> bool:
+    """Report a planned family series order above SCAN_ORDER_CAP on
+    stderr."""
+    need = max((order for order, _, _ in families.plans.values()), default=0)
     if need <= SCAN_ORDER_CAP:
         return False
     print(f"error: scan needs series order {need}, above the cap of "
@@ -163,9 +165,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"warning: no registry items match filter {args.filter!r}",
               file=sys.stderr)
         return EXIT_UNKNOWN_FILTER
-    plan = plan_family_orders(items, args.count)
-    if _over_scan_cap(max((family.order for family in plan.values()),
-                          default=0)):
+    families = Families((check for item in items for check in item.checks),
+                        args.count)
+    if _over_scan_cap(families):
         return EXIT_SCAN_BUDGET
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
@@ -173,7 +175,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # items run in id order, so streaming keeps the output sorted
     for item in items:
         rep = run_item(item, order=args.order, count=args.count,
-                       family_orders=plan)
+                       families=families)
         passed += rep.status == "pass"
         if args.format == "json":
             print(json.dumps(rep.as_dict()), flush=True)
@@ -194,10 +196,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
         print("error: need s,t > 1, p >= 1, 0 <= r < p, mod >= 2, count >= 1",
               file=sys.stderr)
         return EXIT_BAD_INPUT
-    need = p * (count - 1) + r + 1
-    if _over_scan_cap(need):
+    check = CongruenceCheck("scan", (s, t), (p, r), None, m, count)
+    families = Families((check,))
+    if _over_scan_cap(families):
         return EXIT_SCAN_BUDGET
-    series, = read_progressions((s, t), m, [(p, r)], count)
+    series, = families.read(check, count)
     residues = list(series.coeffs)
     all_zero = all(v == 0 for v in residues)
     if args.format == "json":
@@ -218,11 +221,15 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "expand":
-        return cmd_expand(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    return cmd_scan(args)
+    command = {"expand": cmd_expand, "verify": cmd_verify,
+               "scan": cmd_scan}[args.command]
+    try:
+        return command(args)
+    except (OverflowError, MemoryError) as exc:
+        # an order past the index range, or one too large to allocate
+        reason = ": ".join(filter(None, (type(exc).__name__, str(exc))))
+        print(f"error: order too large to compute ({reason})", file=sys.stderr)
+        return EXIT_SCAN_BUDGET
 
 
 def entry() -> None:

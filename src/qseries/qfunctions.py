@@ -335,12 +335,14 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
                 den.append((euler_cube, key, cubes))
     num.sort(key=itemgetter(0))
     last = num.pop() if step > 1 and num else None
-    result = None
+    result = held = None
     for build, group in groupby(num, itemgetter(1)):
         series = build()
         for _, _, power in group:
             f = series ** power
             result = f if result is None else result * f
+        if last is not None and build is last[1]:
+            held = series  # the held-back factor is this atom too
         del series, f  # free this atom before the next one is built
     if result is None:
         result = TruncatedSeries.one(ring, order)
@@ -353,4 +355,5 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
     if last is None:
         return result.extract(step, residue)
     _, build, power = last
-    return result.mul_extract(build() ** power, step, residue)
+    factor = held if held is not None else build()
+    return result.mul_extract(factor ** power, step, residue)

@@ -8,10 +8,13 @@ produces a :class:`VerificationReport` stating how far equality was
 checked and, on failure, the first mismatching coefficient.
 
 Only the residue class a check reads is computed: a dissection link
-(p, r) evaluates its seed on coefficients r, r + p, ... alone, and a run
-builds each bipartition family once, on the one class its scans read
-(see :func:`plan_family_orders`).  A scan still compares the family's
-own coefficients, read off that class.
+(p, r) evaluates its seed on coefficients r, r + p, ... alone.  A run
+plans its scans up front in one :class:`Families` store, which builds
+each bipartition family once, on the one class its scans read, to the
+deepest order they need; the store lives as long as the run.  A scan
+still compares the family's own coefficients, read off that class.
+Every check kind runs through one comparison (:func:`run_check` for a
+single check, :func:`run_item` for a registry item).
 
 Chains deserve a note: iterating a dissection k times directly would
 need a seed series of order ~ final_order * p^k, which is astronomically
@@ -29,7 +32,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Union
+from typing import Callable, Iterable, Iterator, Union
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .qfunctions import bipartition_series, euler_f
@@ -162,38 +165,13 @@ def seed_order_for(final_order: int, steps: tuple[tuple[int, int], ...]) -> int:
     return needed
 
 
-# Modular bipartition series are reused across many scans; cache the
-# longest one computed per (s, t, modulus, step, residue).
-_family_cache: dict[tuple[int, int, int, int, int], TruncatedSeries] = {}
-
-
 def family_series(s: int, t: int, modulus: int, order: int, step: int = 1,
                   residue: int = 0) -> TruncatedSeries:
     """Coefficients residue, residue + step, ... below order (by default
-    all of them) of B_{s,t} mod modulus, or more of them."""
-    key = (s, t, modulus, step, residue)
-    cached = _family_cache.get(key)
-    if cached is None or cached.order < (order - residue + step - 1) // step:
-        cached = bipartition_series(s, t, order, mod_ring(modulus), step,
-                                    residue)
-        _family_cache[key] = cached
-    return cached
+    all of them) of B_{s,t} mod modulus."""
+    return bipartition_series(s, t, order, mod_ring(modulus), step, residue)
 
 
-def clear_family_cache() -> None:
-    _family_cache.clear()
-
-
-class FamilyPlan(NamedTuple):
-    """The order a run's scans need of a family, and the one class
-    (step, residue) of its coefficients that they read."""
-
-    order: int
-    step: int
-    residue: int
-
-
-FamilyOrders = dict[tuple[int, int, int], FamilyPlan]
 Progression = tuple[int, int]  # (step, offset): coefficients step*n + offset
 
 
@@ -226,18 +204,20 @@ def _class_of(progressions: list[Progression]) -> tuple[int, int]:
     return step, first % step
 
 
-def plan_family_orders(items: list[RegistryItem],
-                       count: int | None = None) -> FamilyOrders:
-    """The largest order the items' scans need, per (s, t, modulus), and
-    the one class they all read.
+class Families:
+    """The bipartition family series one run reads, each built once.
 
-    Passed to :func:`run_item`, it makes the first scan of a family build
-    that class once at the order every later scan of that family needs,
-    instead of rebuilding it each time a scan needs more.
+    Planned from the run's checks (with the run's count override): for
+    each family (s, t, modulus) its scans read, ``plans`` holds the
+    deepest order they need and the one class (step, residue) holding
+    every progression they read.  The first read of a family builds that
+    class to that order (:func:`family_series`); each read slices its
+    check's progressions off it.
     """
-    needs: dict[tuple[int, int, int], tuple[int, list[Progression]]] = {}
-    for item in items:
-        for check in item.checks:
+
+    def __init__(self, checks: Iterable[Check], count: int | None = None):
+        needs: dict[tuple[int, int, int], tuple[int, list[Progression]]] = {}
+        for check in checks:
             if isinstance(check, CongruenceCheck):
                 key = (*check.family, check.modulus)
                 order, seen = needs.get(key, (0, []))
@@ -245,30 +225,34 @@ def plan_family_orders(items: list[RegistryItem],
                 cnt = count if count is not None else check.count
                 needs[key] = (max(order, _reach(progressions, cnt)),
                               seen + progressions)
-    return {key: FamilyPlan(order, *_class_of(seen))
+        self.plans: dict[tuple[int, int, int], tuple[int, int, int]] = {
+            key: (order, *_class_of(seen))
             for key, (order, seen) in needs.items()}
+        self._built: dict[tuple[int, int, int], TruncatedSeries] = {}
 
-
-def read_progressions(family: tuple[int, int], modulus: int,
-                      progressions: list[Progression], count: int,
-                      plan: FamilyPlan | None = None
-                      ) -> list[TruncatedSeries]:
-    """B_{s,t}(a*n + b) mod modulus for n below count, one series per
-    progression (a, b), all read off one class of the family: the
-    coarsest class holding them, or holding them and the plan's class,
-    built to at least the plan's order."""
-    order = _reach(progressions, count)
-    classes = progressions
-    if plan is not None:
-        order = max(order, plan.order)
-        classes = [(plan.step, plan.residue), *progressions]
-    step, residue = _class_of(classes)
-    series = family_series(*family, modulus, order, step, residue)
-    # a slice, not extract(): an offset may exceed its step here
-    return [TruncatedSeries(series.ring,
-                            series.coeffs[(b - residue) // step::a // step]
-                            [:count])
-            for a, b in progressions]
+    def read(self, check: CongruenceCheck, count: int) -> list[TruncatedSeries]:
+        """B_{s,t}(a*n + b) mod modulus for n below count, one series per
+        progression (a, b) of the check; ValueError if the plan does not
+        hold them to that count."""
+        key = (*check.family, check.modulus)
+        order, step, residue = self.plans.get(key, (0, 1, 0))
+        progressions = _progressions(check)
+        if (_reach(progressions, count) > order
+                or any(a % step or (b - residue) % step
+                       for a, b in progressions)):
+            s, t, m = key
+            raise ValueError(
+                f"B_{{{s},{t}}} mod {m} is not planned for {check.name!r} "
+                f"to count {count}")
+        series = self._built.get(key)
+        if series is None:
+            series = self._built[key] = family_series(*key, order, step,
+                                                      residue)
+        # a slice, not extract(): an offset may exceed its step here
+        return [TruncatedSeries(series.ring,
+                                series.coeffs[(b - residue) // step::a // step]
+                                [:count])
+                for a, b in progressions]
 
 
 # A check yields (lhs, rhs, extra) pairs of series; extra(index) gives the
@@ -276,14 +260,14 @@ def read_progressions(family: tuple[int, int], modulus: int,
 Pair = tuple[TruncatedSeries, TruncatedSeries, Callable[[int], dict]]
 
 
-def _pairs(check: Check, order: int | None = None, count: int | None = None,
-           family_orders: FamilyOrders | None = None) -> Iterator[Pair]:
+def _pairs(check: Check, families: Families, order: int | None = None,
+           count: int | None = None) -> Iterator[Pair]:
     """The series pairs a check claims equal, built lazily, one at a time.
 
     An identity yields its two sides; a scan yields the left progression
-    of its family against the right one times the multiplier (or zero),
-    coefficient n for n below the count; the binomial check yields
-    f_p against f_1^p for each prime in turn.
+    of its family, read from ``families``, against the right one times
+    the multiplier (or zero), coefficient n for n below the count; the
+    binomial check yields f_p against f_1^p for each prime in turn.
     """
     if isinstance(check, IdentityCheck):
         n = order if order is not None else check.order
@@ -296,9 +280,7 @@ def _pairs(check: Check, order: int | None = None, count: int | None = None,
                lambda index: {})
     elif isinstance(check, CongruenceCheck):
         cnt = count if count is not None else check.count
-        plan = (family_orders or {}).get((*check.family, check.modulus))
-        lhs, *rhs = read_progressions(check.family, check.modulus,
-                                      _progressions(check), cnt, plan)
+        lhs, *rhs = families.read(check, cnt)
         a1, b1 = check.lhs
         yield (lhs, (rhs[0].scalar_mul(check.multiplier) if rhs
                      else TruncatedSeries.zero(lhs.ring, cnt)),
@@ -316,13 +298,13 @@ def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
     """Compare the series pairs of each check in turn, coefficient by
     coefficient, and report the first mismatch.
 
-    ``settings`` (order, count, family_orders) go to :func:`_pairs`.  A
-    pair is compared on the order both sides reach; the reported order
-    is the smallest such order, or the failing pair's.  ``perturb`` adds
-    one to that coefficient of every right-hand side, so a sound check
-    fails there; it must lie below the compared order.  An evaluation
-    error is reported as a mismatch at index -1.  When there are several
-    checks, a mismatch names the failing one as ``link``.
+    ``settings`` (families, order, count) go to :func:`_pairs`.  A pair
+    is compared on the order both sides reach; the reported order is the
+    smallest such order, or the failing pair's.  ``perturb`` adds one to
+    that coefficient of every right-hand side, so a sound check fails
+    there; it must lie below the compared order.  An evaluation error is
+    reported as a mismatch at index -1.  When there are several checks,
+    a mismatch names the failing one as ``link``.
     """
     t0 = time.perf_counter()
     checked = None
@@ -359,49 +341,34 @@ def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
                               checked or 0, mismatch, millis, note)
 
 
-def check_identity(check: IdentityCheck, order: int | None = None,
-                   perturb: int | None = None) -> VerificationReport:
-    """Evaluate both sides of an identity and compare coefficientwise."""
-    _require_in_range(order=order, perturb=perturb)
-    return _compare(check.name, (check,), perturb, order=order)
-
-
-def check_congruence(check: CongruenceCheck, count: int | None = None,
-                     perturb: int | None = None,
-                     family_orders: FamilyOrders | None = None
-                     ) -> VerificationReport:
-    """Scan a congruence between two arithmetic progressions of a family.
-
-    The family is built to at least the order ``family_orders`` plans for
-    it, on a class holding the planned one (see
-    :func:`plan_family_orders`).
-    """
-    _require_in_range(count=count, perturb=perturb)
-    return _compare(check.name, (check,), perturb, count=count,
-                    family_orders=family_orders)
-
-
-def check_binomial(check: BinomialCheck, order: int | None = None,
-                   perturb: int | None = None) -> VerificationReport:
-    """Check f_p = f_1^p coefficientwise mod p for each configured prime."""
-    _require_in_range(order=order, perturb=perturb)
-    return _compare(check.name, (check,), perturb, order=order)
+def run_check(check: Check, order: int | None = None,
+              count: int | None = None,
+              perturb: int | None = None) -> VerificationReport:
+    """Run one check of any kind on its own; ``order`` applies to an
+    identity or binomial check, ``count`` to a scan."""
+    _require_in_range(order=order, count=count, perturb=perturb)
+    return _compare(check.name, (check,), perturb,
+                    families=Families((check,), count), order=order,
+                    count=count)
 
 
 def run_item(item: RegistryItem, order: int | None = None,
              count: int | None = None,
              perturb: int | None = None,
-             family_orders: FamilyOrders | None = None) -> VerificationReport:
+             families: Families | None = None) -> VerificationReport:
     """Run all checks of a registry item, aggregating into one report.
 
     A multi-link item passes only if every link passes; the reported
     order is the smallest order any link achieved, and a failure carries
-    the failing link's name.  ``family_orders`` is the run's plan from
-    :func:`plan_family_orders`, passed on to every scan.
+    the failing link's name.  Scans read ``families``, the run's family
+    store, planned with the same count; without one the item plans its
+    own.
     """
     _require_in_range(order=order, count=count, perturb=perturb)
-    return _compare(item.id, item.checks, perturb, item.note, order=order,
-                    count=count, family_orders=family_orders)
+    if families is None:
+        families = Families(item.checks, count)
+    return _compare(item.id, item.checks, perturb, item.note,
+                    families=families, order=order, count=count)
 
 
 # --------------------------------------------------------------------------
@@ -703,8 +670,9 @@ def run_registry(filter_text: str | None = None, order: int | None = None,
     if not items:
         run.warnings.append(f"no registry items match filter {filter_text!r}")
         return run
-    plan = plan_family_orders(items, count)
+    families = Families((check for item in items for check in item.checks),
+                        count)
     for item in items:
         run.reports.append(run_item(item, order=order, count=count,
-                                    family_orders=plan))
+                                    families=families))
     return run

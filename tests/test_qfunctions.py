@@ -284,6 +284,29 @@ class TestClassPlanner:
         assert ("euler_f", 1, 185) in built
         assert set(built) - {("euler_f", 1, 185)} == {("euler_cube", 1, 5000)}
 
+    @pytest.mark.parametrize("s, t, m, step, residue", [
+        (27, 11, 11, 27, 12),   # f_27 f_1^9: three cubes of f_1
+        (243, 17, 17, 27, 23),  # f_243 f_1^15: five cubes of f_1
+    ])
+    def test_held_back_cube_is_built_once(self, monkeypatch, s, t, m, step,
+                                          residue):
+        # the factor held back for the class product reuses the cube
+        # its own group built
+        cubes = []
+        cube = qfunctions.euler_cube
+
+        def counted(k, order, ring=EXACT):
+            cubes.append((k, order))
+            return cube(k, order, ring)
+
+        monkeypatch.setattr(qfunctions, "euler_cube", counted)
+        ring = mod_ring(m)
+        got = bipartition_series(s, t, 3000, ring, step, residue)
+        assert cubes == [(1, 3000)]
+        monkeypatch.undo()
+        assert got == bipartition_series(s, t, 3000, ring).extract(step,
+                                                                   residue)
+
 
 class TestRamanujanTheta:
     def test_pentagonal_specialization(self):

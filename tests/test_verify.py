@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -14,13 +15,10 @@ from qseries.verify import (
     REGISTRY,
     CongruenceCheck,
     DissectionPipeline,
-    FamilyPlan,
+    Families,
     IdentityCheck,
-    check_congruence,
-    check_identity,
-    plan_family_orders,
-    read_progressions,
     registry_ids,
+    run_check,
     run_item,
     run_pipeline,
     run_registry,
@@ -118,14 +116,14 @@ class TestCheckIdentity:
     def test_classical_quotient_passes(self):
         check = IdentityCheck(
             "eq-j1", DissectionPipeline("1/f1", ((5, 4),)), "5*f5^5/f1^6")
-        rep = check_identity(check, order=50)
+        rep = run_check(check, order=50)
         assert rep.status == "pass"
         assert rep.order == 50
 
     def test_perturbed_rhs_fails_at_index(self):
         check = IdentityCheck(
             "eq-j1", DissectionPipeline("1/f1", ((5, 4),)), "5*f5^5/f1^6")
-        rep = check_identity(check, order=50, perturb=7)
+        rep = run_check(check, order=50, perturb=7)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == 7
 
@@ -134,20 +132,20 @@ class TestCheckIdentity:
         check = IdentityCheck(
             "bad-j2", DissectionPipeline("1/f1", ((7, 5),)),
             "7*f7^3/f1^4 + 50*q*f7^7/f1^8")
-        rep = check_identity(check, order=40)
+        rep = run_check(check, order=40)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == 1
         assert rep.mismatch["lhs"] != rep.mismatch["rhs"]
 
     def test_evaluation_error_is_structured(self):
         check = IdentityCheck("bad-expr", "1/(f1 - f1)", "f1")
-        rep = check_identity(check, order=20)
+        rep = run_check(check, order=20)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == -1
         assert "error" in rep.mismatch
 
     def test_syntax_error_is_structured(self):
-        rep = check_identity(IdentityCheck("bad-syntax", "(1+q", "f1"), order=10)
+        rep = run_check(IdentityCheck("bad-syntax", "(1+q", "f1"), order=10)
         assert rep.status == "fail"
         assert "error" in rep.mismatch
 
@@ -156,18 +154,18 @@ class TestCheckCongruence:
     def test_multiplier_family(self):
         check = CongruenceCheck("b3", (2, 15), (27, 23), (3, 2), 5, 200,
                                 multiplier=2)
-        rep = check_congruence(check)
+        rep = run_check(check)
         assert rep.status == "pass"
         assert rep.order == 200
 
     def test_count_override(self):
         check = CongruenceCheck("b1", (2, 15), (9, 8), None, 5, 1000)
-        rep = check_congruence(check, count=25)
+        rep = run_check(check, count=25)
         assert rep.status == "pass" and rep.order == 25
 
     def test_unclaimed_progression_has_nonzero_residues(self):
         check = CongruenceCheck("control", (2, 15), (9, 7), None, 5, 50)
-        rep = check_congruence(check)
+        rep = run_check(check)
         assert rep.status == "fail"
         assert rep.mismatch["lhs"] != 0
         assert rep.mismatch["coefficient_index"] == 9 * rep.mismatch["index"] + 7
@@ -187,17 +185,16 @@ class TestCheckCongruence:
             builds.append((s, t, ring.modulus, order, step, residue))
             return given.truncate(order).extract(step, residue)
 
-        monkeypatch.setattr(verify_mod, "_family_cache", {})
         monkeypatch.setattr(verify_mod, "bipartition_series", build)
         check = CongruenceCheck("given", (2, 15), (8, 0), None, 5, 10)
-        rep = check_congruence(check)
+        rep = run_check(check)
         assert builds == [(2, 15, 5, 8 * 9 + 1, 8, 0)]
         assert (rep.status, rep.order, rep.mismatch) == \
             ("pass" if mismatch is None else "fail", 10, mismatch)
 
     def test_perturbation_fails_at_position(self):
         check = CongruenceCheck("b1", (2, 15), (9, 8), None, 5, 50)
-        rep = check_congruence(check, perturb=11)
+        rep = run_check(check, perturb=11)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == 11
 
@@ -209,10 +206,17 @@ class TestCheckCongruence:
                 CongruenceCheck("bad", (2, 15), lhs, rhs, 5, 10)
 
 
+def test_binomial_check_runs_on_its_own():
+    check = REGISTRY["eq-k1"].checks[0]
+    assert run_check(check, order=50).status == "pass"
+    rep = run_check(check, order=50, perturb=4)
+    assert (rep.status, rep.mismatch["index"], rep.mismatch["prime"]) == \
+        ("fail", 4, 2)
+
+
 @pytest.fixture
 def family_builds(monkeypatch):
-    """(s, t, modulus, order, step, residue) of every family build, from
-    an empty cache."""
+    """(s, t, modulus, order, step, residue) of every family build."""
     builds = []
     build = verify_mod.bipartition_series
 
@@ -220,7 +224,6 @@ def family_builds(monkeypatch):
         builds.append((s, t, ring.modulus, order, step, residue))
         return build(s, t, order, ring, step, residue)
 
-    monkeypatch.setattr(verify_mod, "_family_cache", {})
     monkeypatch.setattr(verify_mod, "bipartition_series", counted)
     return builds
 
@@ -232,25 +235,52 @@ class TestFamilyPlan:
         assert family_builds == [(2, 15, 5, 27 * 49 + 23 + 1, 3, 2)]
 
     def test_no_scans_no_builds(self, family_builds, capsys):
-        assert plan_family_orders(select_items("lemmas")) == {}
+        assert Families(check for item in select_items("lemmas")
+                        for check in item.checks).plans == {}
         assert main(["verify", "--filter", "lemmas", "--order", "30"]) == 0
         assert family_builds == []
 
     def test_one_class_per_family(self):
         # the gcd of every step and offset difference a family's scans read
-        assert plan_family_orders(select_items(None)) == {
-            (2, 15, 5): FamilyPlan(27 * 999 + 23 + 1, 3, 2),
-            (27, 11, 11): FamilyPlan(243 * 399 + 201 + 1, 27, 12),
-            (243, 17, 17): FamilyPlan(81 * 299 + 77 + 1, 27, 23)}
+        # (order, step, residue) per (s, t, modulus)
+        assert Families(check for item in select_items(None)
+                        for check in item.checks).plans == {
+            (2, 15, 5): (27 * 999 + 23 + 1, 3, 2),
+            (27, 11, 11): (243 * 399 + 201 + 1, 27, 12),
+            (243, 17, 17): (81 * 299 + 77 + 1, 27, 23)}
 
-    def test_progressions_outside_the_plan_widen_its_class(
-            self, family_builds):
-        plan = FamilyPlan(300, 27, 12)
-        got = read_progressions((27, 11), 11, [(9, 3), (27, 39)], 10, plan)
-        whole = bipartition_series(27, 11, 300, mod_ring(11))
-        assert [list(g.coeffs) for g in got] == [
-            list(whole.coeffs[3::9][:10]), list(whole.coeffs[39::27][:10])]
-        assert family_builds == [(27, 11, 11, 300, 9, 3)]
+    def test_reads_slice_one_build(self, family_builds):
+        b3, m0 = REGISTRY["b215-b3"].checks + REGISTRY["thm-y-m0"].checks
+        families = Families((b3, m0), count=10)
+        lhs, rhs = families.read(b3, 10)
+        again, _ = families.read(m0, 10)
+        whole = bipartition_series(2, 15, 27 * 9 + 23 + 1, mod_ring(5))
+        assert list(lhs.coeffs) == list(whole.coeffs[23::27][:10])
+        assert list(rhs.coeffs) == list(again.coeffs) == \
+            list(whole.coeffs[2::3][:10])
+        assert family_builds == [(2, 15, 5, 27 * 9 + 23 + 1, 3, 2)]
+
+    def test_each_run_builds_its_own_families(self, family_builds):
+        # the store lives as long as its run: a second run rebuilds
+        for _ in range(2):
+            assert run_registry("b215", order=60, count=40).all_passed
+        assert family_builds == [(2, 15, 5, 27 * 39 + 23 + 1, 3, 2)] * 2
+
+    @pytest.mark.parametrize("check, count, family", [
+        # a family with no plan
+        (REGISTRY["b2711-m4"].checks[0], 10, "B_{27,11} mod 11"),
+        # a progression off the planned class 8 mod 9
+        (CongruenceCheck("off-class", (2, 15), (9, 7), None, 5, 10), 10,
+         "B_{2,15} mod 5"),
+        # a count past the planned order
+        (REGISTRY["b215-b1"].checks[0], 11, "B_{2,15} mod 5"),
+    ], ids=["unplanned-family", "off-class", "past-order"])
+    def test_unplanned_read_is_refused(self, family_builds, check, count,
+                                       family):
+        families = Families(REGISTRY["b215-b1"].checks, count=10)
+        with pytest.raises(ValueError, match=re.escape(family)):
+            families.read(check, count)
+        assert family_builds == []
 
 
 class TestRunItem:
@@ -316,7 +346,7 @@ class TestRunItem:
 
     def test_congruence_count_checked_before_build(self, family_builds):
         with pytest.raises(ValueError, match="^count must be at least 1"):
-            check_congruence(REGISTRY["b215-b1"].checks[0], count=0)
+            run_check(REGISTRY["b215-b1"].checks[0], count=0)
         assert family_builds == []
 
 
@@ -338,7 +368,7 @@ class TestRunRegistry:
         def no_plan(*args):
             raise AssertionError("planned despite bad input")
 
-        monkeypatch.setattr(verify_mod, "plan_family_orders", no_plan)
+        monkeypatch.setattr(verify_mod, "Families", no_plan)
         (name, value), = kwargs.items()
         with pytest.raises(ValueError,
                            match=f"^{name} must be at least 1, got {value}$"):
