@@ -24,7 +24,8 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import CongruenceCheck, Families, run_item, select_items
+from .verify import (CongruenceCheck, Families, run_item, seed_order_for,
+                     select_items)
 
 # A scan needs the family series out to step*(count - 1) + offset + 1
 # coefficients.  Only one residue class of them is kept, but building it
@@ -169,6 +170,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         args.count)
     if _over_scan_cap(families):
         return EXIT_SCAN_BUDGET
+    # the largest seed order, sized before any row as the scans are above
+    need = max((seed_order_for(args.order or check.order,
+                               getattr(getattr(check, "lhs", ""), "steps", ()))
+                for item in items for check in item.checks
+                if not isinstance(check, CongruenceCheck)), default=0)
+    if need > sys.maxsize:
+        raise OverflowError(f"series order {need} is past the index range")
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
     passed = 0

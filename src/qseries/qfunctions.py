@@ -2,10 +2,10 @@
 
 Everything here is built from three primitive expansions:
 
-* the Euler product f_k = (q^k;q^k)_inf, expanded by the pentagonal
-  number theorem (and its cube, by Jacobi's identity);
 * the Ramanujan theta f(-q^a, -q^b), expanded as a bilateral sum over
-  triangular-number exponents;
+  triangular-number exponents; the Euler product f_k = (q^k;q^k)_inf is
+  the theta f(-q^k, -q^{2k}) (the pentagonal number theorem);
+* the cube f_k^3, expanded by Jacobi's identity;
 * the cubic theta a(q) = sum over the triangular lattice of
   q^(m^2 + m*n + n^2).
 
@@ -13,8 +13,9 @@ Every product and quotient of Euler products and thetas, named or
 parsed, is evaluated by one planner, :func:`eta_quotient`.
 
 Note on conventions: the one-argument "f(-q^k)" that appears alongside
-two-argument thetas denotes the Euler product (q^k;q^k)_inf and is
-produced by :func:`euler_f`, not by :func:`ramanujan_theta`.
+two-argument thetas denotes the Euler product (q^k;q^k)_inf, produced
+by :func:`euler_f`; it equals the two-argument f(-q^k, -q^{2k}) of
+:func:`ramanujan_theta`, which is how :func:`euler_f` expands it.
 """
 
 from __future__ import annotations
@@ -39,27 +40,13 @@ class ThetaSpec(NamedTuple):
 def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """The Euler product f_k = prod_{m>=1} (1 - q^{m*k}), truncated.
 
-    Expanded by the pentagonal number theorem: the exponents are
+    It is the theta f(-q^k, -q^{2k}) (Entry 22 of Berndt's *Ramanujan's
+    Notebooks* III, the pentagonal number theorem): the exponents are
     k*j*(3j-1)/2 for all integers j, with sign (-1)^j.
     """
     if k < 1:
         raise ValueError(f"Euler product index must be positive, got {k}")
-    if order < 1:
-        raise ValueError("order must be positive")
-    coeffs = [0] * order
-    coeffs[0] = 1
-    j = 1
-    while True:
-        e = k * j * (3 * j - 1) // 2
-        if e >= order:
-            break
-        s = -1 if j & 1 else 1
-        coeffs[e] = s
-        e = k * j * (3 * j + 1) // 2
-        if e < order:
-            coeffs[e] = s
-        j += 1
-    return TruncatedSeries(ring, coeffs)
+    return ramanujan_theta((k, 2 * k), order, ring)
 
 
 def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:

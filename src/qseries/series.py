@@ -319,74 +319,57 @@ def _pack(c: Sequence[int], w: int, signed: bool) -> int:
 # --- quotient recurrence ----------------------------------------------------
 #
 # num/den to order n is g with g[i] = (num[i] - sum_k den[k] g[i-k]) / den[0]
-# over the divisor's nonzero terms (k, den[k]), k > 0: the three functions
+# over the divisor's nonzero terms (k, den[k]), k > 0: the two functions
 # below compute it for a unit den[0] (c0inv is its inverse) and give the
 # same g.  g grows by one coefficient per step, so g[i - k] is g[-k]: one
-# itemgetter over the offsets in range gathers every term at once, and is
-# rebuilt only when a divisor term enters range.
+# itemgetter over the offsets in range gathers every term of one value at
+# once, and is rebuilt only when a divisor term of that value enters range.
 
 
-def _pads(least: int, *sizes: int) -> tuple[int, ...]:
-    """At least `least` offsets -1 to end gathers of the given sizes, so
-    that none returns exactly 20 items: CPython 3.11 keeps up to 2000
-    freed 20-item tuples (368 KB) for reuse but never reuses them, so a
-    gather of 20 items per step would hold that memory to the end."""
-    k = least
-    while 20 in (size + k for size in sizes):
-        k += 1
-    return (-1,) * k
-
-
-def _quotient_unit_terms(num: Sequence[int], dnz: list[tuple[int, int]],
-                         c0inv: int, n: int, m: int) -> list[int]:
-    """The recurrence when every term is +1 or -1 (m - 1 in Z/m, where
-    Z/2 puts every term with the +1s), as in Euler products and most
-    thetas, in Z (m = 0) or Z/m: one gathered sum per sign and no
-    products.  Both gathers end in the same pads g[-1], at least two, so
-    they always return tuples and the pads cancel in the difference."""
-    g: list[int] = []
-    pos: list[int] = []
-    neg: list[int] = []
-    plus = sub = itemgetter(-1, -1)
-    j = 0
-    for i in range(n):
-        if j < len(dnz) and dnz[j][0] == i:
-            (pos if dnz[j][1] == 1 else neg).append(-i)
-            j += 1
-            pads = _pads(2, len(pos), len(neg))
-            plus = itemgetter(*pos, *pads)
-            sub = itemgetter(*neg, *pads)
-        s = num[i]
-        if j:
-            s += sum(sub(g)) - sum(plus(g))
-        g.append(s * c0inv % m if m else s * c0inv)
-    return g
+def _pads(size: int) -> tuple[int, ...]:
+    """Offsets 0, which read the gather's sentinel g[0] = 0 and so add
+    nothing, to end a gather of size terms: one, so that a gather of one
+    term still returns a tuple, or two where one would make it return
+    exactly 20 items: CPython 3.11 keeps up to 2000 freed 20-item tuples
+    (368 KB) for reuse but never reuses them, so a gather of 20 items per
+    step would hold that memory to the end."""
+    return (0, 0) if size == 19 else (0,)
 
 
 def _quotient_gather(num: Sequence[int], dnz: list[tuple[int, int]],
                      c0inv: int, n: int, m: int) -> list[int]:
-    """The recurrence in Z/m for any terms: the terms of one value share
-    one gather, and its sum one product, so a step takes at most m - 1
-    products.  g ends in a 0 that is no coefficient, one place past
-    g[i - 1]: the trailing pads, which keep a gather of one term
-    returning a tuple, read it and add nothing."""
+    """The recurrence in Z/m for any terms, and in Z (m = 0) when every
+    term is +1 or -1.  The +1 terms share one gather and the -1 terms
+    (m - 1 in Z/m, where Z/2 files every term with the +1s) another,
+    and neither sum is multiplied: Euler products and most thetas take
+    no products at all.  The terms of each other value share one gather
+    and its sum one product, so a step takes at most m - 3 products.
+    g starts with a sentinel 0 that is no coefficient, read by the pads
+    and by the two sign gathers before their first term."""
     g: list[int] = [0]
     offsets: dict[int, list[int]] = {}
-    gathers: dict[int, Callable] = {}
+    plus = minus = itemgetter(0, 0)
+    others: dict[int, Callable] = {}
     j = 0
     for i in range(n):
         if j < len(dnz) and dnz[j][0] == i:
-            k, v = dnz[j]
+            v = dnz[j][1]
             j += 1
             ks = offsets.setdefault(v, [])
-            ks.append(-k - 1)
-            gathers[v] = itemgetter(*ks, *_pads(1, len(ks)))
-        s = num[i]
-        for v, get in gathers.items():
-            s -= v * sum(get(g))
-        g[-1] = s * c0inv % m
-        g.append(0)
-    g.pop()
+            ks.append(-i)
+            get = itemgetter(*ks, *_pads(len(ks)))
+            if v == 1:
+                plus = get
+            elif v == m - 1:  # -1 in Z, where m = 0
+                minus = get
+            else:
+                others[v] = get
+        s = num[i] + sum(minus(g)) - sum(plus(g))
+        if others:
+            for v, get in others.items():
+                s -= v * sum(get(g))
+        g.append(s * c0inv % m if m else s * c0inv)
+    del g[0]
     return g
 
 
@@ -677,10 +660,7 @@ class TruncatedSeries:
         c0inv = self.ring.inverse(den[0])  # raises NonUnitError if not a unit
         dnz = [(k, v) for k, v in enumerate(den[:n]) if v and k > 0]
         m = self.ring.modulus
-        minus = m - 1 if m else -1
-        if all(v == 1 or v == minus for _, v in dnz):
-            return _quotient_unit_terms(num, dnz, c0inv, n, m)
-        if m:
+        if m or all(v in (1, -1) for _, v in dnz):
             return _quotient_gather(num, dnz, c0inv, n, m)
         return _quotient_loop(num, dnz, c0inv, n)
 

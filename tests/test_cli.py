@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -139,9 +140,14 @@ def test_out_of_range_option_exit(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ["expand", "f1", "--order", str(10 ** 30)],
     ["verify", "--filter", "eq-j1", "--order", str(10 ** 30)],
+    # unfiltered, the b215 scans come first; sized before any row, so
+    # nothing is printed: 10**30 itself, and sys.maxsize // 2, whose
+    # dissection seeds (order times step) are past the index range
+    ["verify", "--order", str(10 ** 30)],
+    ["verify", "--order", str(sys.maxsize // 2)],
 ])
 def test_order_past_index_range_exit(capsys, argv):
-    # 10**30 fits no index, so this fails before anything is allocated
+    # these orders fit no index, so this fails before anything is allocated
     assert main(argv) == EXIT_SCAN_BUDGET
     captured = capsys.readouterr()
     assert captured.out == ""

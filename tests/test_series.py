@@ -473,32 +473,40 @@ def schoolbook_quotient(num, den, m):
 UNIT_TERM_RINGS = [EXACT] + [mod_ring(m) for m in (2, 3, 4, 5, 11)]
 
 
+def recorded_gathers(monkeypatch):
+    """The offsets of every itemgetter series builds from now on."""
+    made = []
+    real = series.itemgetter
+    monkeypatch.setattr(series, "itemgetter", lambda *items: made.append(
+        items) or real(*items))
+    return made
+
+
 class TestUnitTermQuotient:
-    """Divisors whose terms are all +1 or -1 (m - 1 in Z/m) take one
-    recurrence without products, in Z and Z/m; any other term sends the
-    divisor to the general recurrence of its ring."""
+    """Every divisor in Z/m, and every divisor over Z whose terms are all
+    +1 or -1, takes the gather, which sums the +1 terms and the -1 terms
+    (m - 1 in Z/m) without products; any other term over Z sends the
+    divisor to the loop."""
 
     @pytest.mark.parametrize("ring", UNIT_TERM_RINGS, ids=str)
     def test_matches_the_general_recurrence(self, monkeypatch, rng, ring):
         m = ring.modulus
         n = 300
         taken = []
-        for name in ("_quotient_unit_terms", "_quotient_gather",
-                     "_quotient_loop"):
+        for name in ("_quotient_gather", "_quotient_loop"):
             real = getattr(series, name)
             monkeypatch.setattr(series, name,
                                 lambda *args, real=real, name=name:
                                 taken.append(name) or real(*args))
-        general = "_quotient_gather" if m else "_quotient_loop"
         two = list(euler_f(1, n).coeffs)
         two[4] = 2  # not +-1 unless m is 2 (where it is 0) or 3
         divisors = [
-            (euler_f(1, n, ring), "_quotient_unit_terms"),
-            (euler_f(3, n, ring), "_quotient_unit_terms"),
-            (-euler_f(2, n, ring), "_quotient_unit_terms"),
-            (ramanujan_theta((1, 2), n, ring), "_quotient_unit_terms"),
+            (euler_f(1, n, ring), "_quotient_gather"),
+            (euler_f(3, n, ring), "_quotient_gather"),
+            (-euler_f(2, n, ring), "_quotient_gather"),
+            (ramanujan_theta((1, 2), n, ring), "_quotient_gather"),
             (TruncatedSeries(ring, two),
-             "_quotient_unit_terms" if m in (2, 3) else general),
+             "_quotient_gather" if m else "_quotient_loop"),
         ]
         for den, branch in divisors:
             num = random_series(rng, ring, order=n)
@@ -508,37 +516,98 @@ class TestUnitTermQuotient:
             assert got * den == num
             dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
             c0inv = ring.inverse(den.coeffs[0])
-            want = (series._quotient_gather(num.coeffs, dnz, c0inv, n, m)
-                    if m else
-                    series._quotient_loop(num.coeffs, dnz, c0inv, n))
+            want = (schoolbook_quotient(num.coeffs, den.coeffs, m) if m
+                    else series._quotient_loop(num.coeffs, dnz, c0inv, n))
             assert list(got.coeffs) == want
 
     @pytest.mark.parametrize("ring", [EXACT, mod_ring(5)], ids=str)
     def test_gathers_never_return_twenty_items(self, monkeypatch, rng, ring):
         # f_1 at N = 1500 has 31 terms of each sign, so both gathers pass
         # the sizes where the pads grow; the quotients are unchanged.
-        sizes = set()
-        real = series.itemgetter
-        monkeypatch.setattr(series, "itemgetter", lambda *items: sizes.add(
-            len(items)) or real(*items))
+        made = recorded_gathers(monkeypatch)
         n = 1500
         den = euler_f(1, n, ring)
         num = random_series(rng, ring, order=n)
         got = num / den
+        sizes = {len(items) for items in made}
         assert 20 not in sizes and {19, 21} <= sizes
         assert got * den == num
         dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
         m = ring.modulus
-        want = (series._quotient_gather(num.coeffs, dnz, 1, n, m) if m
+        want = (schoolbook_quotient(num.coeffs, den.coeffs, m) if m
                 else series._quotient_loop(num.coeffs, dnz, 1, n))
         assert list(got.coeffs) == want
-        for least in (1, 2):
-            for a in range(25):
-                for b in range(25):
-                    pads = series._pads(least, a, b)
-                    assert set(pads) == {-1}
-                    assert least <= len(pads) <= least + 2
-                    assert 20 not in (a + len(pads), b + len(pads))
+
+    def test_pads(self):
+        # every pad reads the sentinel g[0] = 0, and no gather of any
+        # size ends at exactly 20 items
+        for size in range(100):
+            pads = series._pads(size)
+            assert set(pads) == {0}
+            assert 1 <= len(pads) <= 2
+            assert size + len(pads) != 20
+
+    def test_z2_files_every_term_with_the_plus_ones(self, monkeypatch, rng):
+        # 1 = -1 in Z/2: all of f_1's terms, of both signs over Z, share
+        # one gather
+        made = recorded_gathers(monkeypatch)
+        n = 400
+        ring = mod_ring(2)
+        den = euler_f(1, n, ring)
+        terms = n - den.coeffs.count(0) - 1
+        num = random_series(rng, ring, order=n)
+        got = num / den
+        assert max(map(len, made)) == terms + len(series._pads(terms))
+        assert list(got.coeffs) == schoolbook_quotient(num.coeffs,
+                                                       den.coeffs, 2)
+
+    @pytest.mark.parametrize("m", [0, 2, 4, 11])
+    def test_sign_gathers_take_no_products(self, rng, m):
+        # only a term that is neither +1 nor -1 (3, or m - 1 = 3 in Z/4)
+        # is multiplied into its gather's sum
+        products = []
+
+        class Term(int):
+            def __mul__(self, other):
+                products.append(int(self))
+                return int(self) * other
+
+        n = 400
+        ring = mod_ring(m) if m else EXACT
+        coeffs = list(euler_f(1, n, ring).coeffs)
+        if m > 4:
+            coeffs[5] = 3
+        dnz = [(k, Term(v)) for k, v in enumerate(coeffs) if v and k]
+        num = list(random_series(rng, ring, order=n).coeffs)
+        got = series._quotient_gather(num, dnz, 1, n, m)
+        assert set(products) == ({3} if m > 4 else set())
+        if m:
+            assert got == schoolbook_quotient(num, coeffs, m)
+
+    @pytest.mark.parametrize("m, values", [
+        (4, (2,)),            # a term 2, neither +1 nor -1 = 3, nor a unit
+        (11, (3, 7, 5)),      # other values beside f_1's +1s and -1s
+        (11, (10, 10, 2)),    # two +1 terms made -1 (10), and one 2
+    ])
+    def test_signs_and_other_values_together(self, monkeypatch, rng, m,
+                                             values):
+        made = recorded_gathers(monkeypatch)
+        n = 400
+        ring = mod_ring(m)
+        coeffs = list(euler_f(1, n, ring).coeffs)
+        terms = [k for k, v in enumerate(coeffs) if v and k]
+        for k, v in zip(terms[3::7], values):
+            coeffs[k] = v
+        den = TruncatedSeries(ring, coeffs)
+        num = random_series(rng, ring, order=n)
+        got = num / den
+        assert list(got.coeffs) == schoolbook_quotient(num.coeffs, coeffs, m)
+        # one value per gather, and every term read by one of them
+        read = set()
+        for items in made:
+            assert len({coeffs[-o] for o in items if o}) <= 1
+            read.update(-o for o in items if o)
+        assert read == set(terms)
 
 
 class TestModularGather:
