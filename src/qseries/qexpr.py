@@ -421,12 +421,20 @@ def to_text(e: QExpr) -> str:
 class EvalContext:
     """Target truncation order and coefficient ring for evaluation, and
     the class of coefficients kept: residue, residue + step, ... below
-    the order (by default all of them)."""
+    the order (by default all of them).
+
+    ``records``, when given, is a memo of planned records, owned by the
+    caller (a verification run): a record with no factor besides its
+    Euler products, thetas and septic quotients is planned once per
+    exponent map, order, ring and class, and read from it after that.
+    Every context derived during the evaluation shares it.
+    """
 
     order: int
     ring: CoefficientRing = EXACT
     step: int = 1
     residue: int = 0
+    records: dict | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.order < 1:
@@ -515,11 +523,14 @@ class _Quotient:
         return replace(self, atoms={}).series(ring)
 
     def series(self, ring: CoefficientRing, step: int = 1,
-               residue: int = 0) -> TruncatedSeries:
+               residue: int = 0, records: dict | None = None
+               ) -> TruncatedSeries:
         """The value, or its coefficients residue, residue + step, ...,
         by the planner :func:`qfunctions.eta_quotient`.  Past q^a the
         class is the planner's class residue - a (mod step), after the
-        -d zeros the class has below q^a."""
+        -d zeros the class has below q^a.  With no rest, the planned
+        series is kept in, or read from, ``records`` (see
+        :class:`EvalContext`)."""
         size = (self.order - residue + step - 1) // step
         if size < 1:
             raise _EmptyClass
@@ -527,6 +538,21 @@ class _Quotient:
         n = self.order - self.a
         if n <= r:
             return TruncatedSeries.zero(ring, size)
+        if records is None or self.rest:
+            result = self._plan(n, ring, step, r)
+        else:
+            key = (frozenset((k, e) for k, e in self.atoms.items() if e),
+                   n, ring, step, r)
+            result = records.get(key)
+            if result is None:
+                result = records[key] = self._plan(n, ring, step, r)
+        if self.c != 1:
+            result = result.scalar_mul(self.c)
+        return result.shift(-d) if d else result
+
+    def _plan(self, n: int, ring: CoefficientRing, step: int,
+              r: int) -> TruncatedSeries:
+        """prod(rest) * prod atom^e to order n, on the class (step, r)."""
         factors = list(self.rest)
         exponents: Counter = Counter()
         for key, e in self.atoms.items():
@@ -541,10 +567,7 @@ class _Quotient:
                 a, b = qfunctions.SEPTIC_THETA[septic.letter]
                 exponents[k * a, k * b] += e
                 exponents[2 * k] -= e
-        result = qfunctions.eta_quotient(exponents, n, ring, factors, step, r)
-        if self.c != 1:
-            result = result.scalar_mul(self.c)
-        return result.shift(-d) if d else result
+        return qfunctions.eta_quotient(exponents, n, ring, factors, step, r)
 
 
 def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
@@ -559,7 +582,7 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
     whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
-    whole = EvalContext(n, ring)
+    whole = replace(ctx, step=1, residue=0)
     values: list[_Quotient] = []
     stack: list[tuple[QExpr, bool]] = [(root, False)]
     while stack:
@@ -591,7 +614,7 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
             values.append(_Quotient(1, 0, n, (evaluate(node, whole),))
                           if key is None
                           else _Quotient(1, 0, n, atoms={key: 1}))
-    return values[0].series(ring, ctx.step, ctx.residue)
+    return values[0].series(ring, ctx.step, ctx.residue, ctx.records)
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
@@ -609,7 +632,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return _evaluate_class(e, ctx)
         except _EmptyClass:
             # the whole evaluation raises what it would, then extract
-            whole = evaluate(e, EvalContext(n, ring))
+            whole = evaluate(e, replace(ctx, step=1, residue=0))
             return whole.extract(ctx.step, ctx.residue)
     try:
         if isinstance(e, IntLit):
@@ -626,7 +649,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
         if isinstance(e, Theta):
             return qfunctions.ramanujan_theta((e.a, e.b), n, ring)
         if isinstance(e, Subst):
-            inner = evaluate(e.child, EvalContext(-(-n // e.k), ring))
+            inner = evaluate(e.child, replace(ctx, order=-(-n // e.k)))
             return inner.substitute_power(e.k, cap=n)
         if isinstance(e, (Mul, Div, Pow, Neg)):
             return _product(e, ctx)
@@ -663,7 +686,7 @@ def _evaluate_class(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return _product(e, ctx)
         except SeriesError as exc:
             raise EvalError(str(exc), to_text(e)) from exc
-    whole = evaluate(e, EvalContext(ctx.order, ctx.ring))
+    whole = evaluate(e, replace(ctx, step=1, residue=0))
     if whole.order <= ctx.residue:
         raise _EmptyClass
     return whole.extract(ctx.step, ctx.residue)

@@ -183,17 +183,6 @@ def _terms(atom: Callable, key: int | tuple[int, int], order: int) -> int:
     return isqrt(8 * order // max(s, 1))
 
 
-def _euler_cost(k: int, e: int, order: int) -> int:
-    """Nonzero terms of the factors that :func:`eta_quotient` multiplies
-    by or divides out for f_k^e."""
-    f = _terms(euler_f, k, order)
-    cube = _terms(euler_cube, k, order)
-    cubes, rest = divmod(abs(e), 3)
-    if e < 0 and rest == 2:  # f_k / f_k^3
-        return f + (cubes + 1) * cube
-    return cubes * cube + rest * f
-
-
 def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                  ring: CoefficientRing = EXACT,
                  factors: Sequence[TruncatedSeries] = (), step: int = 1,
@@ -211,15 +200,19 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     descending order so that one rewrite can feed the next: f_pk = f_k^p
     (mod p), since (1 - x)^p = 1 - x^p there, and a positive power costs
     multiplications where a negative one costs quotient recurrences.
-    Then, visiting k in ascending order, f_k^-e (e > 0) becomes
-    f_k^(c*p - e) / f_pk^c with c = ceil(e / p) wherever that lowers the
-    count of nonzero terms multiplied by and divided out (:func:`_terms`
-    estimates them), and f_pk^-c is tried in turn: so B_{2,15} =
-    f_2 f_15 / f_1^2 becomes f_2 f_15 f_1^3 / f_5 mod 5, one division by
-    f_5 in place of one by the denser cube f_1^3.  For composite m the
-    congruence fails (mod 4, f_1^4 = 1 + 2q^2 + ... while f_4 = 1 - q^4
-    + ...; mod 9, f_1^9 and f_9 differ at q^3), so then nothing is
-    rewritten.
+    Then, visiting k in ascending order, every f_k^-e (e > 0) becomes
+    f_k^(c*p - e) * f_pk^-c with c = ceil(e / p).  f_pk^-c joins f_pk's
+    own exponent when the record has one, which is visited in turn;
+    otherwise it is (f_1^-c)(q^pk), with f_1^-c planned by this function
+    at order ceil(order / pk), where the same rule applies again, and
+    multiplied in class by class
+    (:meth:`TruncatedSeries.mul_substituted`); from pk >= order on it is
+    1 and dropped.  So no Euler product is divided out over Z/p:
+    B_{2,15} = f_2 f_15 / f_1^2 becomes f_2 f_15 f_1^3 (1/f_1)(q^5) mod
+    5, and 1/f_1 at order N is f_1^4 (1/f_1)(q^5) at order N/5, and so
+    on down.  For composite m the congruence fails (mod 4, f_1^4 = 1 +
+    2q^2 + ... while f_4 = 1 - q^4 + ...; mod 9, f_1^9 and f_9 differ
+    at q^3), so then nothing is rewritten.
 
     The positive part is multiplied into the running product one factor
     at a time, sparsest first (``factors`` included): f_k^e as e // 3
@@ -235,13 +228,15 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     For one class, after the rewrites, the atoms whose keys step
     divides are series in q^step, which commute with extraction: they
     are planned at the class's order with their keys divided by step,
-    and times the class of the rest.  The rest divides first and holds
-    back its densest numerator factor, so that only the last product
-    is restricted to the class (:meth:`TruncatedSeries.mul_extract`).
+    and times the class of the rest.  In the rest only the last product
+    is restricted to the class: the one by its last substituted f_pk^-c,
+    or else, after the divisions, the one by its densest numerator
+    factor, held back until then (:meth:`TruncatedSeries.mul_extract`).
     """
     p = ring.modulus
     exponents = dict(exponents)
     euler = sorted(k for k in exponents if not isinstance(k, tuple))
+    subs: dict[int, int] = {}  # j: c, for f_j^-c = (f_1^-c)(q^j)
     if (p and any(exponents[k] < 0 for k in euler)
             and all(p % d for d in range(2, isqrt(p) + 1))):
         for k in reversed(euler):
@@ -249,22 +244,18 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                     and exponents.get(k // p, 0) < 0):
                 exponents[k // p] += p * exponents.pop(k)
         for k in euler:
-            # f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p), where the
-            # planner's costs say it is cheaper; f_pk^-c may fold again.
-            while exponents.get(k, 0) < 0:
-                e, pk = exponents[k], p * k
+            # f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p); f_pk^-c
+            # joins f_pk's own exponent, or is substituted
+            e = exponents.get(k, 0)
+            if e < 0:
                 c = -(e // p)
-                e_pk = exponents.get(pk, 0)
-                if (_euler_cost(k, e + c * p, order)
-                        + _euler_cost(pk, e_pk - c, order)
-                        >= _euler_cost(k, e, order)
-                        + _euler_cost(pk, e_pk, order)):
-                    break
                 exponents[k] = e + c * p
-                exponents[pk] = e_pk - c
-                k = pk
+                if p * k in exponents:
+                    exponents[p * k] -= c
+                else:
+                    subs[p * k] = c
     if step == 1:
-        return _plan(exponents, order, ring, factors)
+        return _plan(exponents, order, ring, factors, subs=subs)
     outer: dict = {}
     for key in list(exponents):
         if isinstance(key, tuple):
@@ -272,16 +263,18 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                 outer[key[0] // step, key[1] // step] = exponents.pop(key)
         elif not key % step:
             outer[key // step] = exponents.pop(key)
-    part = _plan(exponents, order, ring, factors, step, residue)
+    part = _plan(exponents, order, ring, factors, step, residue, subs)
     return _plan(outer, part.order, ring, (part,)) if outer else part
 
 
 def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
           factors: Sequence[TruncatedSeries], step: int = 1,
-          residue: int = 0) -> TruncatedSeries:
+          residue: int = 0, subs: Mapping[int, int] = {}) -> TruncatedSeries:
     """The series of :func:`eta_quotient`, after its rewrites, as
-    planned there; for one class the divisions come before the densest
-    numerator factor, whose product alone is restricted to the class."""
+    planned there, times f_j^-c = (f_1^-c)(q^j) for each j: c of subs.
+    For one class the last product is restricted to the class: the one
+    by the last f_j^-c, or else by the densest numerator factor, held
+    back until after the divisions."""
     # (nonzero terms, builder, power) of each numerator factor, and
     # (constructor, key, count) of each divisor; each series is built
     # only when used, so few are held besides the running result.
@@ -321,7 +314,9 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
             if cubes:
                 den.append((euler_cube, key, cubes))
     num.sort(key=itemgetter(0))
-    last = num.pop() if step > 1 and num else None
+    # f_j^-c is 1 to the order from j >= order on
+    substituted = [(j, c) for j, c in subs.items() if j < order]
+    last = num.pop() if step > 1 and num and not substituted else None
     result = held = None
     for build, group in groupby(num, itemgetter(1)):
         series = build()
@@ -337,7 +332,11 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
         divisor = atom(key, order, ring)
         for _ in range(count):
             result = result.divide(divisor)
-    if step == 1:
+    for i, (j, c) in enumerate(substituted, 1):
+        inner = eta_quotient({1: -c}, -(-order // j), ring)
+        result = result.mul_substituted(
+            inner, j, *((step, residue) if i == len(substituted) else (1, 0)))
+    if step == 1 or substituted:
         return result
     if last is None:
         return result.extract(step, residue)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress
 from math import gcd
@@ -172,8 +173,10 @@ def _mul_coeffs(a: Sequence[int], b: Sequence[int], n: int, m: int,
     w = _slot_bytes(nza * ha * hb, not m)
     if path is _mul_shift:
         return _mul_shift(a, b, n, w, not m, step, residue)
-    c = (_mul_sparse(a, b, n) if path is _mul_sparse
-         else _mul_kronecker(a, b, n, w, not m))
+    if path is _mul_kronecker:
+        c = _mul_kronecker(a, b, n, w, not m)
+    else:
+        c = _square_sparse(a, n) if b is a else _mul_sparse(a, b, n)
     return c[residue::step] if step > 1 else c
 
 
@@ -189,6 +192,24 @@ def _mul_sparse(a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
         for i, v in small:
             if i >= lim:
                 break
+            res[i + j] += v * w
+    return res
+
+
+def _square_sparse(a: Sequence[int], n: int) -> list[int]:
+    """The n low coefficients of a*a over nonzero terms, each pair of
+    terms once: a_i*a_j for i < j is added doubled, as the square's
+    coefficient i + j holds it twice."""
+    terms = list(zip(compress(range(n), a), filter(None, a)))
+    at = [i for i, _ in terms]
+    res = [0] * n
+    for x, (i, v) in enumerate(terms):
+        end = bisect_left(at, n - i)  # the terms j with i + j < n
+        if end <= x:
+            break
+        res[2 * i] += v * v
+        v += v
+        for j, w in terms[x + 1:end]:
             res[i + j] += v * w
     return res
 
@@ -429,6 +450,18 @@ class TruncatedSeries:
     # --- construction helpers -------------------------------------------
 
     @classmethod
+    def _of_residues(cls, ring: CoefficientRing,
+                     coeffs: Sequence[int]) -> TruncatedSeries:
+        """A series of coefficients already reduced for its ring (each in
+        [0, m) for Z/m), at least one of them: __init__ without its
+        reduction, for results that only move existing coefficients."""
+        series = cls.__new__(cls)
+        series.ring = ring
+        series.coeffs = coeffs = tuple(coeffs)
+        series.order = len(coeffs)
+        return series
+
+    @classmethod
     def zero(cls, ring: CoefficientRing, order: int) -> TruncatedSeries:
         return cls(ring, [0] * order)
 
@@ -551,7 +584,7 @@ class TruncatedSeries:
             if t + i >= n:
                 break
             coeffs[t + i] = c
-        return TruncatedSeries(self.ring, coeffs)
+        return TruncatedSeries._of_residues(self.ring, coeffs)
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Restrict to a smaller (or equal) truncation order."""
@@ -559,7 +592,7 @@ class TruncatedSeries:
             raise ValueError("truncation order must be positive")
         if order >= self.order:
             return self
-        return TruncatedSeries(self.ring, self.coeffs[:order])
+        return TruncatedSeries._of_residues(self.ring, self.coeffs[:order])
 
     def reduce_mod(self, m: int) -> TruncatedSeries:
         """Map an exact series into Z/m (a no-op if already in Z/m)."""
@@ -589,6 +622,31 @@ class TruncatedSeries:
         _class_size(n, p, r)
         return TruncatedSeries(self.ring, _mul_coeffs(
             self.coeffs[:n], other.coeffs[:n], n, self.ring.modulus, p, r))
+
+    def mul_substituted(self, other: TruncatedSeries, k: int, p: int = 1,
+                        r: int = 0) -> TruncatedSeries:
+        """(self * other.substitute_power(k)).extract(p, r), to the order
+        both reach, the same series with the same errors.
+
+        Coefficient c + k*m of the product is coefficient m of the class
+        c mod k of self times other: k products at 1/k of the order, each
+        restricted to the indices m that land in class r mod p.
+        """
+        self._check_ring(other)
+        if k < 1:
+            raise ValueError(f"substitution power must be positive, got {k}")
+        n = min(self.order, other.order * k)
+        coeffs = [0] * _class_size(n, p, r)
+        g = gcd(k, p)
+        for c in range(r % g, min(k, n), g):
+            a = self.coeffs[c:n:k]
+            # c + k*m lies in class r mod p for m = m0, m0 + p/g, ...
+            m0 = (r - c) // g * pow(k // g, -1, p // g) % (p // g)
+            if m0 < len(a):
+                coeffs[(c + k * m0 - r) // p::k // g] = _mul_coeffs(
+                    a, other.coeffs[:len(a)], len(a), self.ring.modulus,
+                    p // g, m0)
+        return TruncatedSeries(self.ring, coeffs)
 
     def __rmul__(self, other: int) -> TruncatedSeries:
         if isinstance(other, int):
@@ -709,7 +767,7 @@ class TruncatedSeries:
         coefficient p*n + r of self ("extract, divide by q^r, replace q^p by q").
         """
         _class_size(self.order, p, r)
-        return TruncatedSeries(self.ring, self.coeffs[r::p])
+        return TruncatedSeries._of_residues(self.ring, self.coeffs[r::p])
 
     def substitute_power(self, k: int, cap: int | None = None) -> TruncatedSeries:
         """Replace q by q^k; the inverse of extract on a residue class."""
@@ -724,4 +782,4 @@ class TruncatedSeries:
             if j >= n:
                 break
             coeffs[j] = c
-        return TruncatedSeries(self.ring, coeffs)
+        return TruncatedSeries._of_residues(self.ring, coeffs)

@@ -141,9 +141,11 @@ class RegistryRun:
 # Check execution
 # --------------------------------------------------------------------------
 
-def run_pipeline(pipeline: DissectionPipeline, ring, order: int) -> TruncatedSeries:
+def run_pipeline(pipeline: DissectionPipeline, ring, order: int,
+                 records: dict | None = None) -> TruncatedSeries:
     """Evaluate the seed at the given order, then apply each extraction;
-    the seed is evaluated on the first step's class only.
+    the seed is evaluated on the first step's class only, with
+    ``records`` as the memo of planned records (:class:`EvalContext`).
 
     Every step divides the available order by its step size, so callers
     must budget order >= desired_final_order * product(steps); an
@@ -151,7 +153,7 @@ def run_pipeline(pipeline: DissectionPipeline, ring, order: int) -> TruncatedSer
     """
     steps = pipeline.steps or ((1, 0),)
     series = evaluate(parse_expr(pipeline.seed),
-                      EvalContext(order, ring, *steps[0]))
+                      EvalContext(order, ring, *steps[0], records))
     for p, r in steps[1:]:
         series = series.extract(p, r)
     return series
@@ -213,6 +215,9 @@ class Families:
     every progression they read.  The first read of a family builds that
     class to that order (:func:`family_series`); each read slices its
     check's progressions off it.
+
+    ``records`` is the run's memo of planned records, which every
+    identity evaluated in the run shares (:class:`EvalContext`).
     """
 
     def __init__(self, checks: Iterable[Check], count: int | None = None):
@@ -229,6 +234,7 @@ class Families:
             key: (order, *_class_of(seen))
             for key, (order, seen) in needs.items()}
         self._built: dict[tuple[int, int, int], TruncatedSeries] = {}
+        self.records: dict = {}
 
     def read(self, check: CongruenceCheck, count: int) -> list[TruncatedSeries]:
         """B_{s,t}(a*n + b) mod modulus for n below count, one series per
@@ -272,12 +278,14 @@ def _pairs(check: Check, families: Families, order: int | None = None,
     if isinstance(check, IdentityCheck):
         n = order if order is not None else check.order
         ring = mod_ring(check.modulus) if check.modulus else EXACT
+        ctx = EvalContext(n, ring, records=families.records)
         if isinstance(check.lhs, DissectionPipeline):
-            lhs = run_pipeline(check.lhs, ring, seed_order_for(n, check.lhs.steps))
+            lhs = run_pipeline(check.lhs, ring,
+                               seed_order_for(n, check.lhs.steps),
+                               families.records)
         else:
-            lhs = evaluate(parse_expr(check.lhs), EvalContext(n, ring))
-        yield (lhs, evaluate(parse_expr(check.rhs), EvalContext(n, ring)),
-               lambda index: {})
+            lhs = evaluate(parse_expr(check.lhs), ctx)
+        yield (lhs, evaluate(parse_expr(check.rhs), ctx), lambda index: {})
     elif isinstance(check, CongruenceCheck):
         cnt = count if count is not None else check.count
         lhs, *rhs = families.read(check, cnt)

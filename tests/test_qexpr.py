@@ -445,6 +445,12 @@ class TestQuotientRecord:
         assert negated_divisor == divisor_terms
         assert len(negated_divisor) == 2
         assert max(negated_divisor) <= isqrt(2 * n) + 1
+        # over Z/p the planner divides by no Euler product at all:
+        # f_1^-6 = f_1^4 (1/f_1^2)(q^5) mod 5
+        divisor_terms.clear()
+        got = evaluate_text("1/(-f1^6)", n, mod_ring(5))
+        assert divisor_terms == []
+        assert got == evaluate_text("-1/f1^6", n).reduce_mod(5)
 
 
 CLASS_RINGS = [EXACT] + [mod_ring(m) for m in (2, 5, 11, 17, 4, 6, 9)]

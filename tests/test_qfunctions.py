@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qseries import qfunctions
@@ -114,15 +116,16 @@ class TestDivideEulerPower:
         assert eta_quotient({(0, 1): 0, 1: 0}, 5) == TruncatedSeries.one(EXACT, 5)
 
 
-def _whole_quotient(exponents, n, factors):
-    """The quotient over Z the plain way: each atom raised to its whole
-    power, then multiplied in or divided out."""
-    whole = TruncatedSeries.one(EXACT, n)
+def _whole_quotient(exponents, n, factors, ring=EXACT):
+    """The quotient the plain way, over Z by default: each atom raised to
+    its whole power, then multiplied in or divided out.  Every divisor
+    has constant term 1, so in Z/m this is the quotient over Z reduced."""
+    whole = TruncatedSeries.one(ring, n)
     for f in factors:
         whole = whole * f
     for key, e in exponents.items():
-        atom = (ramanujan_theta(key, n) if isinstance(key, tuple)
-                else euler_f(key, n))
+        atom = (ramanujan_theta(key, n, ring) if isinstance(key, tuple)
+                else euler_f(key, n, ring))
         whole = whole * atom ** e if e > 0 else whole.divide(atom ** -e)
     return whole
 
@@ -148,12 +151,12 @@ def _fold_case(rng, m, n):
 
 
 def _record_built(monkeypatch):
-    """The set that collects every k whose f_k or f_k^3 gets built."""
+    """The set that collects (k, order) for every f_k or f_k^3 built."""
     keys = set()
 
     def recording(constructor):
         def build(k, order, ring=EXACT):
-            keys.add(k)
+            keys.add((k, order))
             return constructor(k, order, ring)
         return build
 
@@ -165,14 +168,15 @@ def _record_built(monkeypatch):
 
 class TestFrobeniusFold:
     """Over Z/p, p prime, f_pk^e is folded into f_k^(pe) against a negative
-    power of f_k, and f_k^-e becomes f_k^(cp-e) / f_pk^c where that is
-    cheaper; for composite m (4, 6, 9) neither happens."""
+    power of f_k, and f_k^-e becomes f_k^(cp-e) * (f_1^-c)(q^pk) with
+    f_1^-c planned at order ceil(n / pk); for composite m (4, 6, 9)
+    neither happens."""
 
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 9, 11, 17])
     def test_equals_exact_quotient_reduced(self, monkeypatch, m, rng):
         n = 60
         built = _record_built(monkeypatch)
-        divided_by_new_atom = 0
+        substituted = 0
         for _ in range(25):
             exponents, factors = _fold_case(rng, m, n)
             want = _whole_quotient(exponents, n, factors)
@@ -182,29 +186,38 @@ class TestFrobeniusFold:
             built.clear()
             got = eta_quotient(exponents, n, want.ring, factors)
             assert got == want, (exponents, m)
-            divided_by_new_atom += not built <= exponents.keys()
-        # the division-side rule builds an f_pk that the record lacks
-        assert bool(divided_by_new_atom) == (m in (2, 5, 11, 17))
+            substituted += any(order < n for _, order in built)
+        # the division-side rule builds f_1 below the order, for
+        # (f_1^-c)(q^pk)
+        assert bool(substituted) == (m in (2, 5, 11, 17))
 
     @pytest.mark.parametrize("exponents,m,built", [
-        ({11: 1, 1: -2}, 11, {1}),
-        ({121: 1, 11: -1, 1: -2}, 11, {1}),  # 121 -> 11 -> 1
-        ({9: 1, 3: -1, 1: -1}, 3, {1}),
-        ({4: 1, 2: -1}, 2, {2}),
-        ({11: 1, 1: 2}, 11, {1, 11}),     # nothing to cancel
-        ({11: -1, 1: 2}, 11, {1, 11}),    # f_11 is not in the numerator
-        ({4: 1, 1: -2}, 4, {1, 4}),       # 4 is not prime
-        ({9: 1, 1: -2}, 9, {1, 9}),
-        ({11: 1, 1: -2}, 0, {1, 11}),
-        # division side: f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p)
-        ({2: 1, 15: 1, 1: -2}, 5, {1, 2, 5, 15}),  # f_1^3 / f_5
-        ({1: -5}, 5, {5}),                 # 1 / f_5
-        ({1: -4}, 2, {4}),                 # 1 / f_2^2, then 1 / f_4
-        ({1: -10}, 5, {5, 25}),            # 1 / f_5^2, then f_5^3 / f_25
-        ({1: -1}, 5, {1}),                 # f_1^4 / f_5 costs more
-        ({1: -6}, 5, {1}),                 # so does f_1^4 / f_5^2
-        ({1: -2}, 4, {1}),                 # 4 is not prime
-        ({1: -2}, 0, {1}),
+        ({11: 1, 1: -2}, 11, {(1, 200)}),
+        ({121: 1, 11: -1, 1: -2}, 11, {(1, 200)}),  # 121 -> 11 -> 1
+        ({9: 1, 3: -1, 1: -1}, 3, {(1, 200)}),
+        ({4: 1, 2: -1}, 2, {(2, 200)}),
+        ({11: 1, 1: 2}, 11, {(1, 200), (11, 200)}),  # nothing to cancel
+        # f_11 is not in the numerator: f_11^10 (1/f_1)(q^121), 1/f_1 at
+        # order 2
+        ({11: -1, 1: 2}, 11, {(1, 200), (11, 200), (1, 2)}),
+        ({4: 1, 1: -2}, 4, {(1, 200), (4, 200)}),  # 4 is not prime
+        ({9: 1, 1: -2}, 9, {(1, 200), (9, 200)}),
+        ({11: 1, 1: -2}, 0, {(1, 200), (11, 200)}),
+        # division side: f_k^-e = f_k^(cp - e) (f_1^-c)(q^pk), c =
+        # ceil(e / p), f_1^-c planned at order ceil(200 / pk), where 1/f_1
+        # is f_1^(p-1) (1/f_1)(q^p) again, down to an order below p
+        ({2: 1, 15: 1, 1: -2}, 5,           # f_1^3 (1/f_1)(q^5)
+         {(1, 200), (2, 200), (15, 200), (1, 40), (1, 8), (1, 2)}),
+        ({1: -5}, 5, {(1, 40), (1, 8), (1, 2)}),  # (1/f_1)(q^5)
+        ({1: -4}, 2,                        # (1/f_1^2)(q^2)
+         {(1, 50), (1, 25), (1, 13), (1, 7), (1, 4), (1, 2)}),
+        ({1: -10}, 5, {(1, 40), (1, 8), (1, 2)}),  # (1/f_1^2)(q^5)
+        ({1: -1}, 5,                        # f_1^4 (1/f_1)(q^5)
+         {(1, 200), (1, 40), (1, 8), (1, 2)}),
+        ({1: -6}, 5,                        # f_1^4 (1/f_1^2)(q^5)
+         {(1, 200), (1, 40), (1, 8), (1, 2)}),
+        ({1: -2}, 4, {(1, 200)}),           # 4 is not prime: f_1 / f_1^3
+        ({1: -2}, 0, {(1, 200)}),
     ])
     def test_folds_only_over_a_prime_against_a_negative_power(
             self, monkeypatch, exponents, m, built):
@@ -213,8 +226,49 @@ class TestFrobeniusFold:
         if m:
             want = want.reduce_mod(m)
         keys.clear()
+        divided = []
+        divide = TruncatedSeries.divide
+
+        def counted(num, den):
+            divided.append(den.order)
+            return divide(num, den)
+
+        monkeypatch.setattr(TruncatedSeries, "divide", counted)
         assert eta_quotient(exponents, 200, want.ring) == want
         assert keys == built
+        # over a prime no Euler product is divided out
+        assert bool(divided) == (m in (0, 4, 9))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17])
+    def test_rule_equals_whole_quotient_reduced(self, p):
+        rng = random.Random(f"substitution mod {p}")
+        ring = mod_ring(p)
+        for _ in range(6):
+            n = rng.randint(2, 2500)
+            exponents = {k: -rng.randint(1, 2 * p)
+                         for k in rng.sample((1, 2, 3, p, 2 * p), 2)}
+            exponents[rng.choice((1, 4, p * p))] = rng.randint(-3, 3)
+            if rng.random() < 0.5:
+                exponents[rng.randint(1, 3), rng.randint(1, 3)] = -1
+            whole = _whole_quotient(exponents, n, (), ring)
+            step = rng.choice((1, 2, 3, p, 5 * p, rng.randint(1, n)))
+            residue = rng.randrange(min(step, n))
+            assert eta_quotient(exponents, n, ring, (), step, residue) == \
+                whole.extract(step, residue), (exponents, n, step, residue)
+
+    def test_b215_class_build_divides_only_below_a_fifth(self, monkeypatch):
+        n = 26997
+        orders = []
+        prefix = TruncatedSeries._quotient_prefix
+
+        def recorded(self, num, den, order):
+            orders.append(order)
+            return prefix(self, num, den, order)
+
+        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix", recorded)
+        got = bipartition_series(2, 15, n, mod_ring(5), 3, 2)
+        assert got.order == 8999
+        assert all(order <= -(-n // 5) for order in orders)
 
     def test_prime_family_builds_divide_nothing(self, monkeypatch):
         n = 5000
@@ -283,6 +337,19 @@ class TestClassPlanner:
         assert got == whole.extract(27, 12) and got.order == 185
         assert ("euler_f", 1, 185) in built
         assert set(built) - {("euler_f", 1, 185)} == {("euler_cube", 1, 5000)}
+        # B_{2,15} mod 5 is f_2 f_15 f_1^3 (1/f_1)(q^5): on a class mod
+        # 5, f_15 = f_3(q^5) and (1/f_1)(q^5) are both built at the
+        # class's 1000 coefficients, 1/f_1 by the rule again below that
+        ring = mod_ring(5)
+        whole = bipartition_series(2, 15, 5000, ring)
+        built.clear()
+        got = bipartition_series(2, 15, 5000, ring, 5, 2)
+        assert got == whole.extract(5, 2) and got.order == 1000
+        assert {b for b in built if b[2] == 5000} == {
+            ("euler_cube", 1, 5000), ("euler_f", 2, 5000)}
+        assert ("euler_f", 3, 1000) in built
+        assert max(order for _, k, order in built if k != 2 and order < 5000
+                   ) == 1000
 
     @pytest.mark.parametrize("s, t, m, step, residue", [
         (27, 11, 11, 27, 12),   # f_27 f_1^9: three cubes of f_1

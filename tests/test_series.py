@@ -16,6 +16,7 @@ from qseries.series import (
     EXACT,
     NonUnitError,
     RingMismatchError,
+    SeriesError,
     TruncatedSeries,
     ValuationError,
     mod_ring,
@@ -399,6 +400,97 @@ class TestMulKernel:
         assert oracle.count_partitions(10)[-1] == 30
         assert oracle.count_bipartitions(2, 15, 40) \
             and oracle.naive_euler(1, 40).coeffs[:3] == (1, -1, -1)
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except (ValueError, SeriesError) as exc:
+        return type(exc), str(exc)
+
+
+class TestSparseSquare:
+    """Squaring over pairs i <= j of nonzero terms, the off-diagonal
+    products doubled, against the sparse loop's every ordered pair."""
+
+    @pytest.mark.parametrize("ring", KERNEL_RINGS, ids=str)
+    def test_equals_sparse_loop_on_lacunary_series(self, ring):
+        rng = random.Random(f"square {ring}")
+        m = ring.modulus
+        for _ in range(40):
+            n = rng.randint(1, 400)
+            a = tuple((rng.randrange(1, m) if m else
+                       rng.choice((-1, 1)) * rng.randrange(1, 2**40))
+                      if rng.random() < rng.choice((0.02, 0.1, 0.3)) else 0
+                      for _ in range(n))
+            assert series._square_sparse(a, n) == \
+                series._mul_sparse(a, a, n), (n, a)
+
+    def test_kernel_squares_an_euler_cube_by_half_pairs(self, monkeypatch):
+        ring = mod_ring(11)
+        cube = euler_cube(1, 5000, ring)
+        want = cube * euler_cube(1, 5000, ring)  # an equal, other object
+        called = []
+        square = series._square_sparse
+
+        def counted(a, n):
+            called.append(n)
+            return square(a, n)
+
+        monkeypatch.setattr(series, "_square_sparse", counted)
+        assert cube * cube == want
+        assert called == [5000]
+
+
+class TestResidueConstructor:
+    """Results that only move coefficients already reduced for their
+    ring skip the constructor's reduction and equal the reduced ones."""
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(7)], ids=str)
+    def test_comes_out_unchanged(self, rng, ring):
+        a = random_series(rng, ring, order=30)
+        b = TruncatedSeries._of_residues(ring, list(a.coeffs))
+        assert b == a and b.order == 30 and type(b.coeffs) is tuple
+        assert b.coeffs == TruncatedSeries(ring, a.coeffs).coeffs
+        for got, want in (
+                (a.extract(3, 1), TruncatedSeries(ring, a.coeffs[1::3])),
+                (a.truncate(7), TruncatedSeries(ring, a.coeffs[:7])),
+                (a.shift(2), TruncatedSeries(ring, (0, 0) + a.coeffs)),
+                (a.substitute_power(2, cap=5), TruncatedSeries(
+                    ring, (a[0], 0, a[1], 0, a[2])))):
+            assert got == want and got.coeffs == want.coeffs
+
+    def test_skips_the_reduction(self, monkeypatch):
+        a = S(1, 2, 3, 4, ring=mod_ring(5))
+
+        def no_init(self, ring, coeffs):
+            raise AssertionError("reduced again")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", no_init)
+        a.extract(2, 1), a.truncate(2), a.shift(1), a.substitute_power(3)
+
+
+class TestMulSubstituted:
+    """self * other(q^k), on one class, against the product with the
+    substituted series: same coefficients, order and errors."""
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(2), mod_ring(4),
+                                      mod_ring(5)], ids=str)
+    def test_equals_product_with_the_substituted_series(self, rng, ring):
+        for _ in range(300):
+            a = random_series(rng, ring, order=rng.randint(1, 40))
+            b = random_series(rng, ring, order=rng.randint(1, 12))
+            k, p = rng.randint(1, 9), rng.randint(1, 8)
+            r = rng.randrange(p)
+            assert _outcome(lambda: a.mul_substituted(b, k, p, r)) == \
+                _outcome(lambda: (a * b.substitute_power(k)).extract(p, r)), \
+                (a, b, k, p, r)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            S(1, 2).mul_substituted(S(1), 0)
+        with pytest.raises(RingMismatchError):
+            S(1, 2).mul_substituted(S(1, ring=mod_ring(5)), 2)
 
 
 class TestInvert:

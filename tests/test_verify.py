@@ -1,14 +1,17 @@
 import json
 import os
 import re
+import sys
+from dataclasses import replace
 
 import pytest
 
 import qseries.verify as verify_mod
+from qseries import qexpr, qfunctions
 from qseries.cli import main
-from qseries.qexpr import evaluate_text
+from qseries.qexpr import EvalContext, evaluate, evaluate_text, parse_expr
 from qseries.qfunctions import bipartition_series, euler_f
-from qseries.series import TruncatedSeries, mod_ring
+from qseries.series import EXACT, TruncatedSeries, mod_ring
 from qseries.verify import (
     CHAIN_NOTE,
     INDUCTION_NOTE,
@@ -403,6 +406,83 @@ class TestRunRegistry:
             reference = json.load(fh)["registry"]
         assert [[r.id, r.status, r.order, r.mismatch, r.note]
                 for r in run.reports] == reference
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """The planner's inputs for every record with no rest factor that a
+    syntax-tree record asks the planner for; the planner's own inner
+    calls and those of septic_ABC are not counted."""
+    keys = []
+    eta_quotient = qfunctions.eta_quotient
+    record_plan = qexpr._Quotient._plan.__code__
+
+    def planner(exponents, order, ring, factors=(), step=1, residue=0):
+        caller = sys._getframe(1)
+        if (caller.f_code is record_plan
+                and not caller.f_locals["self"].rest):
+            keys.append((frozenset((k, e) for k, e in exponents.items() if e),
+                         order, ring, step, residue))
+        return eta_quotient(exponents, order, ring, factors, step, residue)
+
+    monkeypatch.setattr(qfunctions, "eta_quotient", planner)
+    return keys
+
+
+class TestRecordMemo:
+    """One verification run plans each record with no rest factor once,
+    in a memo its family store owns; nothing outlives the run."""
+
+    def test_each_record_is_planned_once_per_run(self, plans, capsys):
+        assert main(["verify"]) == 0
+        assert len(plans) == len(set(plans))
+        once = set(plans)
+        # the B_{7,11} link triples and eq-15's septic combinations
+        # (those of eq-9p and eq-10p) repeat records across items, which
+        # items run with a store each plan again
+        plans.clear()
+        for item in select_items(None):
+            run_item(item)
+        assert set(plans) == once and len(plans) > len(once)
+
+    def test_a_shared_memo_changes_no_series(self):
+        records = {}
+        for text in ("f2*f15/f1^2", "q*f2*f15/f1^2", "3*q^2*f7^5/f1",
+                     "A*B^2/C^3 + q*f1^4/f7^4"):
+            tree = parse_expr(text)
+            for ring in (EXACT, mod_ring(5), mod_ring(7)):
+                for order in (40, 41):
+                    for step in (1, 2, 3):
+                        for residue in range(step):
+                            ctx = EvalContext(order, ring, step, residue)
+                            want = evaluate(tree, ctx)
+                            for _ in range(2):  # planned, then read back
+                                assert evaluate(tree, replace(
+                                    ctx, records=records)) == want
+        assert records
+
+    def test_runs_share_nothing(self, plans):
+        assert run_registry("eq-").all_passed
+        first = sorted(plans, key=repr)
+        plans.clear()
+        assert run_registry("eq-").all_passed
+        assert sorted(plans, key=repr) == first
+        a, b = Families(()), Families(())
+        assert a.records == {} and a.records is not b.records
+
+    def test_expand_and_library_calls_keep_no_memo(self, monkeypatch, capsys):
+        memos = []
+        series = qexpr._Quotient.series
+
+        def record_series(record, ring, step=1, residue=0, records=None):
+            memos.append(records)
+            return series(record, ring, step, residue, records)
+
+        monkeypatch.setattr(qexpr._Quotient, "series", record_series)
+        assert main(["expand", "f2*f15/f1^2 + A*B^2/C^3", "--order", "40",
+                     "--mod", "5"]) == 0
+        evaluate_text("f1^4/f7^4 + 8*q", 40, mod_ring(7))
+        assert memos and memos == [None] * len(memos)
 
 
 class TestCrossChecks:
