@@ -23,11 +23,11 @@ from __future__ import annotations
 from collections import Counter
 from functools import partial
 from itertools import groupby
-from math import isqrt
+from math import gcd, isqrt
 from operator import itemgetter
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .series import EXACT, CoefficientRing, TruncatedSeries
+from .series import EXACT, CoefficientRing, TruncatedSeries, _quotient_packed
 
 
 class ThetaSpec(NamedTuple):
@@ -183,6 +183,46 @@ def _terms(atom: Callable, key: int | tuple[int, int], order: int) -> int:
     return isqrt(8 * order // max(s, 1))
 
 
+def _partition_bits(colours: int, m: int) -> int:
+    """A bit count b with p_a(m) < 2**b, a = colours, for the partitions
+    of m into parts of a colours: p_a(m) < e^(pi sqrt(2am/3)) (Apostol,
+    *Introduction to Analytic Number Theory*, Thm 14.5, whose proof
+    holds for a colours), and e^(pi sqrt(2am/3)) = 2^sqrt(c*a*m) with
+    c = (pi / ln 2)^2 * 2/3 < 13.7, so no float enters."""
+    return isqrt(137 * colours * m // 10) + 1
+
+
+def _divide_packed(num: TruncatedSeries, divisors: list,
+                   k: int) -> TruncatedSeries:
+    """num / prod of the divisors over Z, as (constructor, key, count)
+    of :func:`_plan`, every one a series in q^k: all divided out in one
+    packing of the classes mod k (:func:`series._quotient_packed`), each
+    read in q^k from its coefficients k*j.
+
+    By the triple product f(-q^a, -q^b) = (q^a, q^b, q^(a+b); q^(a+b))_inf,
+    1/f_1 and 1/theta(a, b) with a != b are products of 1/(1 - q^j) over
+    distinct j, and 1/theta(a, a) has each j at most twice: so 1/D is at
+    most p_A coefficient by coefficient, where the divisors' colours A
+    count 1 per f_k and per theta with a != b, 2 per theta(a, a) and 3
+    per cube.
+    A quotient coefficient is then at most sum(|num|) * p_A(M) in size,
+    M = ceil(N / k) - 1, which fixes the slots: its bits, those of
+    :func:`_partition_bits`, a sign bit and one to spare.
+    """
+    n = num.order
+    dens: list = []
+    colours = 0
+    for atom, key, count in divisors:
+        dens += [atom(key, n).coeffs[::k]] * count
+        colours += count * (3 if atom is euler_cube
+                            else 2 if atom is ramanujan_theta
+                            and key[0] == key[1] else 1)
+    bits = (sum(map(abs, num.coeffs)).bit_length()
+            + _partition_bits(colours, -(-n // k) - 1) + 2)
+    return TruncatedSeries._of_residues(
+        EXACT, _quotient_packed(num.coeffs, dens, k, n, bits))
+
+
 def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                  ring: CoefficientRing = EXACT,
                  factors: Sequence[TruncatedSeries] = (), step: int = 1,
@@ -224,6 +264,16 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     Every divisor has constant term 1, so each quotient is the unique
     one: the result is the same series, to the same order, as the whole
     quotient, in Z and in every Z/m.
+
+    Over Z the divisors that are series in q^k for one k >= 2 (f_k, its
+    cube, and f(-q^a, -q^b) with gcd(a, b) = k) are divided out first,
+    together: each class mod k is one slot of packed big ints, so every
+    step of the recurrence divides k coefficients at order ceil(N / k)
+    (:func:`_divide_packed`).  That is exact when the slots hold the
+    numerator and the quotient, which a proven bound ensures: 1/D is at
+    most the count of partitions into parts of A colours, p_A(n) <
+    e^(pi sqrt(2An/3)).  In Z/m, and for k = 1, each division runs on
+    its own at the whole order.
 
     For one class, after the rewrites, the atoms whose keys step
     divides are series in q^step, which commute with extraction: they
@@ -328,10 +378,23 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
         del series, f  # free this atom before the next one is built
     if result is None:
         result = TruncatedSeries.one(ring, order)
+    # Over Z the divisors in q^k, k >= 2 (gcd(a, b) for a theta), are
+    # divided out together, one k at a time, on packed classes; the
+    # rest one at a time.  Divisions commute: the packed ones go first,
+    # as their slots are sized by the numerator, which the others grow.
+    by_k: dict[int, list] = {}
     for atom, key, count in den:
-        divisor = atom(key, order, ring)
-        for _ in range(count):
-            result = result.divide(divisor)
+        k = (1 if ring.modulus else gcd(*key) if atom is ramanujan_theta
+             else key)
+        by_k.setdefault(k, []).append((atom, key, count))
+    for k in sorted(by_k, reverse=True):
+        if k > 1:
+            result = _divide_packed(result, by_k[k], k)
+            continue
+        for atom, key, count in by_k[k]:
+            divisor = atom(key, order, ring)
+            for _ in range(count):
+                result = result.divide(divisor)
     for i, (j, c) in enumerate(substituted, 1):
         inner = eta_quotient({1: -c}, -(-order // j), ring)
         result = result.mul_substituted(

@@ -13,14 +13,16 @@ pure function, so series can be shared freely between threads.
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
-from itertools import accumulate, compress
+from itertools import accumulate, chain, compress, repeat
 from math import gcd
-from operator import itemgetter
-from typing import Callable, Sequence
+from operator import add, itemgetter, sub
+from typing import Callable, Iterable, Sequence
 
 
 class SeriesError(Exception):
@@ -104,7 +106,7 @@ _PAIR_NS = 130          # one multiply-add of the sparse loop, plus ...
 _PAIR_DIGIT_NS = 7      # ... this per 30-bit digit of the two factors
 _TERM_NS = 120          # one nonzero term of the denser factor, streamed
 _ARRAY_SLOT_NS = 40     # packing or unpacking one coefficient via array
-_BYTES_SLOT_NS = 650    # the same via a bytearray (slots wider than 8 bytes)
+_BYTES_SLOT_NS = 270    # the same via bytes (slots wider than 8 bytes)
 _KARATSUBA_NS = 10      # times D**1.585 for a product of two D-digit ints
 _SHIFT_NS = 300         # one nonzero term of the sparser factor, shifted ...
 _SHIFT_BYTE_NS = 0.8    # ... plus this per byte of the packed denser one
@@ -289,26 +291,44 @@ def _biases(n: int, w: int) -> int:
     return int.from_bytes((bytes(w - 1) + b"\x80") * n, "little")
 
 
+def _to_slots(c: Iterable[int], w: int, bias: int) -> bytearray:
+    """Each c_i + bias as one w-byte little-endian slot, which it must
+    fit.  Each slot's bytes are appended as they are made and then
+    freed: joining them would hold all of them first."""
+    values = map(add, c, repeat(bias)) if bias else c
+    slots = bytearray()
+    deque(map(slots.extend, map(int.to_bytes, values, repeat(w),
+                                repeat("little"))), 0)
+    return slots
+
+
+def _from_slots(raw: bytes, w: int, bias: int) -> list[int]:
+    """The inverse of :func:`_to_slots`: every w-byte slot of raw, less
+    bias, read one at a time."""
+    slots = map(int.from_bytes, map(itemgetter(0), struct.iter_unpack(
+        f"{w}s", raw)), repeat("little"))
+    return list(map(sub, slots, repeat(bias)) if bias else slots)
+
+
 def _unpack(prod: int, n: int, w: int, signed: bool) -> Sequence[int]:
     """The n low w-byte slots of prod = sum(c_i * 2**(8*w*i)), exact
     when every c_i fits a slot (with its sign when signed)."""
     mask = (1 << 8 * n * w) - 1
     if signed:
         # Adding 2**(8*w - 1) to every slot makes each nonnegative and
-        # below 2**(8*w); flipping the top bits removes it again, leaving
-        # two's-complement slots.
+        # below 2**(8*w): the biased slots.
         top = _biases(n, w)
-        prod = ((prod + top) & mask) ^ top
+        prod = (prod + top) & mask
     else:
         prod &= mask
-    raw = prod.to_bytes(n * w, "little")
     code = (_SIGNED if signed else _UNSIGNED).get(w)
     if code is None:
-        view = memoryview(raw)
-        return [int.from_bytes(view[i:i + w], "little", signed=signed)
-                for i in range(0, len(raw), w)]
+        return _from_slots(prod.to_bytes(n * w, "little"), w,
+                           signed << 8 * w - 1)
+    if signed:
+        prod ^= top  # flipping the top bits leaves two's-complement slots
     slots = array(code)
-    slots.frombytes(raw)
+    slots.frombytes(prod.to_bytes(n * w, "little"))
     if _SWAP:
         slots.byteswap()
     return slots
@@ -316,25 +336,18 @@ def _unpack(prod: int, n: int, w: int, signed: bool) -> Sequence[int]:
 
 def _pack(c: Sequence[int], w: int, signed: bool) -> int:
     """sum(c_i * 2**(8*w*i)) as one int, built from w-byte little-endian
-    slots (two's complement when signed, then unbiased)."""
+    slots (biased by 2**(8*w - 1) when signed, then unbiased)."""
+    top = _biases(len(c), w) if signed else 0
     code = (_SIGNED if signed else _UNSIGNED).get(w)
     if code is None:
-        slots = bytearray(len(c) * w)
-        for i, v in zip(compress(range(0, len(slots), w), c),
-                        filter(None, c)):
-            slots[i:i + w] = v.to_bytes(w, "little", signed=signed)
-    else:
-        slots = array(code, c)
-        if _SWAP:
-            slots.byteswap()
-    packed = int.from_bytes(slots, "little")
-    if signed:
-        # Flipping a two's-complement slot's top bit maps its value c to
-        # c + 2**(8*w - 1), which is nonnegative; subtracting that bias
-        # from every slot leaves the signed sum.
-        top = _biases(len(c), w)
-        packed = (packed ^ top) - top
-    return packed
+        return int.from_bytes(_to_slots(c, w, signed << 8 * w - 1),
+                              "little") - top
+    slots = array(code, c)
+    if _SWAP:
+        slots.byteswap()
+    # Flipping a two's-complement slot's top bit maps its value c to
+    # c + 2**(8*w - 1), the biased slot.
+    return (int.from_bytes(slots, "little") ^ top) - top
 
 
 # --- quotient recurrence ----------------------------------------------------
@@ -409,6 +422,42 @@ def _quotient_loop(num: Sequence[int], dnz: list[tuple[int, int]],
     return g
 
 
+def _quotient(num: Sequence[int], dnz: list[tuple[int, int]], c0inv: int,
+              n: int, m: int) -> list[int]:
+    """The recurrence by whichever of the two functions above serves
+    the divisor's terms dnz in Z/m (m = 0: Z)."""
+    if m or all(v in (1, -1) for _, v in dnz):
+        return _quotient_gather(num, dnz, c0inv, n, m)
+    return _quotient_loop(num, dnz, c0inv, n)
+
+
+def _quotient_packed(num: Sequence[int], dens: Sequence[Sequence[int]],
+                     k: int, n: int, bits: int) -> list[int]:
+    """num / (D_1(q^k) * D_2(q^k) * ...) over Z to order n, each D given
+    by its coefficients in q (constant term 1) to order ceil(n / k).
+
+    Dividing by a series in q^k divides each class c mod k apart, by
+    the same recurrence: coefficient c + k*j of num is slot c of packed
+    int j, with slots of ceil(bits / 8) bytes, so one step of the
+    recurrence above runs on all k classes in one big-int operation, at
+    order ceil(n / k).  The recurrence is Z-linear, so the packed ints
+    stay exact sums of their slots whatever the partial sums hold; only
+    num's coefficients and the quotient's must fit signed slots of bits
+    bits, which the caller proves.
+    """
+    size = -(-n // k)
+    w = -(-bits // 8)
+    # Biased w-byte slots read k at a time are the rows, each biased in
+    # every slot, and the other way round.
+    top, row_top = 1 << 8 * w - 1, _biases(k, w)
+    g = _from_slots(_to_slots(chain(num, repeat(0, size * k - n)), w, top),
+                    k * w, row_top)
+    for den in dens:
+        g = _quotient(g, [(j, v) for j, v in enumerate(den[:size])
+                          if v and j], 1, size, 0)
+    return _from_slots(_to_slots(g, k * w, row_top), w, top)[:n]
+
+
 def _class_size(order: int, p: int, r: int) -> int:
     """How many coefficients p*n + r lie below order; raises unless p >= 1,
     0 <= r < p and there is at least one."""
@@ -454,7 +503,8 @@ class TruncatedSeries:
                      coeffs: Sequence[int]) -> TruncatedSeries:
         """A series of coefficients already reduced for its ring (each in
         [0, m) for Z/m), at least one of them: __init__ without its
-        reduction, for results that only move existing coefficients."""
+        reduction, for results that only move existing coefficients and
+        for quotients, which the recurrence reduces."""
         series = cls.__new__(cls)
         series.ring = ring
         series.coeffs = coeffs = tuple(coeffs)
@@ -714,13 +764,11 @@ class TruncatedSeries:
 
     def _quotient_prefix(self, num: Sequence[int], den: Sequence[int],
                          n: int) -> list[int]:
-        """Coefficients of num/den to order n; den[0] must be a unit."""
+        """Coefficients of num/den to order n, reduced for the ring (the
+        gather reduces each one in Z/m); den[0] must be a unit."""
         c0inv = self.ring.inverse(den[0])  # raises NonUnitError if not a unit
         dnz = [(k, v) for k, v in enumerate(den[:n]) if v and k > 0]
-        m = self.ring.modulus
-        if m or all(v in (1, -1) for _, v in dnz):
-            return _quotient_gather(num, dnz, c0inv, n, m)
-        return _quotient_loop(num, dnz, c0inv, n)
+        return _quotient(num, dnz, c0inv, n, self.ring.modulus)
 
     def invert(self) -> TruncatedSeries:
         """Multiplicative inverse: the series b with self*b = 1 + O(q^N).
@@ -731,8 +779,8 @@ class TruncatedSeries:
         n = self.order
         num = [0] * n
         num[0] = 1
-        return TruncatedSeries(self.ring,
-                               self._quotient_prefix(num, self.coeffs, n))
+        return TruncatedSeries._of_residues(
+            self.ring, self._quotient_prefix(num, self.coeffs, n))
 
     def divide(self, other: TruncatedSeries) -> TruncatedSeries:
         """Quotient self/other, cancelling a common q-valuation.
@@ -755,7 +803,8 @@ class TruncatedSeries:
         num = list(self.coeffs[v:v + n])
         num += [0] * (n - len(num))
         den = other.coeffs[v:v + n]
-        return TruncatedSeries(self.ring, self._quotient_prefix(num, den, n))
+        return TruncatedSeries._of_residues(
+            self.ring, self._quotient_prefix(num, den, n))
 
     def __truediv__(self, other: TruncatedSeries) -> TruncatedSeries:
         return self.divide(other)

@@ -6,6 +6,7 @@ from qseries import qfunctions
 from qseries.oracle import (
     bilateral_theta,
     count_bipartitions,
+    count_partitions,
     count_regular,
     divisor_count_difference,
     lattice_a,
@@ -373,6 +374,108 @@ class TestClassPlanner:
         monkeypatch.undo()
         assert got == bipartition_series(s, t, 3000, ring).extract(step,
                                                                    residue)
+
+
+def _packed_calls(monkeypatch, narrow=0):
+    """The (k, bits) of every packed division from now on, each run with
+    its slots narrowed by narrow bits."""
+    calls = []
+    packed = qfunctions._quotient_packed
+
+    def recorded(num, dens, k, n, bits):
+        calls.append((k, bits))
+        return packed(num, dens, k, n, bits - narrow)
+
+    monkeypatch.setattr(qfunctions, "_quotient_packed", recorded)
+    return calls
+
+
+def _divided_one_at_a_time(exponents, n, num):
+    """num divided by each atom's whole power at the whole order."""
+    for key, e in exponents.items():
+        atom = (ramanujan_theta(key, n) if isinstance(key, tuple)
+                else euler_f(key, n))
+        num = num.divide(atom ** -e)
+    return num
+
+
+class TestPackedDivision:
+    """Over Z the planner divides the atoms in q^k, k >= 2, out on k-slot
+    packed ints, at order ceil(N / k): f_k, the cube f_k^3, and
+    theta(ka, kb) with a != b and with a == b, against dividing by each
+    whole power at the whole order."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 24])
+    def test_equals_the_plain_division(self, monkeypatch, rng, k):
+        calls = _packed_calls(monkeypatch)
+        kinds = [k, (k, 3 * k), (2 * k, k), (k, k)]
+        for _ in range(8):
+            n = rng.randint(1, 30 * k + 200)  # mostly not a multiple of k
+            exponents = {key: -rng.randint(1, 7)
+                         for key in rng.sample(kinds, rng.randint(1, 4))}
+            height = 1 << rng.randint(0, 400)
+            num = TruncatedSeries(EXACT, [rng.randint(-height, height)
+                                          for _ in range(n)])
+            calls.clear()
+            got = eta_quotient(exponents, n, EXACT, [num])
+            assert got == _divided_one_at_a_time(exponents, n, num), \
+                (exponents, n)
+            assert [kk for kk, _ in calls] == [k]  # one packing per k
+
+    def test_each_k_is_packed_once_and_k_1_never(self, monkeypatch, rng):
+        calls = _packed_calls(monkeypatch)
+        exponents = {1: -4, 2: -3, (2, 4): -1, 3: -2, (3, 3): -1, (1, 2): -1,
+                     (2, 5): -1}
+        num = TruncatedSeries(EXACT, [rng.randint(-99, 99)
+                                      for _ in range(500)])
+        got = eta_quotient(exponents, 500, EXACT, [num])
+        assert got == _divided_one_at_a_time(exponents, 500, num)
+        assert sorted(k for k, _ in calls) == [2, 3]
+
+    @pytest.mark.parametrize("m", [2, 5, 11, 12])
+    def test_not_taken_in_z_mod_m(self, monkeypatch, m):
+        calls = _packed_calls(monkeypatch)
+        ring = mod_ring(m)
+        exponents = {2: -3, (3, 6): -1, 7: -1}
+        assert eta_quotient(exponents, 300, ring) == \
+            _divided_one_at_a_time(exponents, 300,
+                                   TruncatedSeries.one(EXACT, 300)
+                                   ).reduce_mod(m)
+        assert calls == []
+
+    def test_partition_bits_bound_the_partitions(self):
+        # p_a(n) < 2**_partition_bits(a, n) for a <= 6 colours and
+        # n < 1500, against p_a built from the oracle's p(n)
+        n = 1500
+        p = TruncatedSeries(EXACT, count_partitions(n))
+        p_a = p
+        for a in range(1, 7):
+            assert all(c < 1 << qfunctions._partition_bits(a, i)
+                       for i, c in enumerate(p_a.coeffs)), a
+            p_a = p_a * p
+
+    @pytest.mark.parametrize("exponents,k,n,colours", [
+        ({2: -1}, 2, 6, 1),       # f_2: 100 + 100 q^2 + 200 q^4
+        ({(3, 3): -1}, 3, 6, 2),  # theta(3, 3): 100 + 200 q^3
+        ({2: -3}, 2, 4, 3),       # the cube f_2^3: 100 + 300 q^2
+    ])
+    def test_one_byte_narrower_fails(self, monkeypatch, exponents, k, n,
+                                     colours):
+        # cases at the limit: 100 fits the slots one byte narrower, the
+        # quotient does not, so it must come out wrong there
+        num = TruncatedSeries.monomial(EXACT, n, 0, 100)
+        want = _divided_one_at_a_time(exponents, n, num)
+        calls = _packed_calls(monkeypatch)
+        assert eta_quotient(exponents, n, EXACT, [num]) == want
+        # 100 has 7 bits, and the packed rows run to n / k - 1
+        assert calls == [(k, 7 + qfunctions._partition_bits(
+            colours, n // k - 1) + 2)]
+        bits = calls[0][1]
+        narrow = 8 * (-(-bits // 8) - 1) - 1  # value bits one byte less
+        assert not 100 >> narrow and max(want.coeffs) >> narrow
+        monkeypatch.undo()
+        _packed_calls(monkeypatch, narrow=8)
+        assert eta_quotient(exponents, n, EXACT, [num]) != want
 
 
 class TestRamanujanTheta:

@@ -469,6 +469,96 @@ class TestResidueConstructor:
         monkeypatch.setattr(TruncatedSeries, "__init__", no_init)
         a.extract(2, 1), a.truncate(2), a.shift(1), a.substitute_power(3)
 
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(5), mod_ring(12)],
+                             ids=str)
+    def test_quotients_skip_the_reduction(self, monkeypatch, rng, ring):
+        # the recurrence reduces every coefficient in Z/m already
+        num = random_series(rng, ring, order=60)
+        den = random_series(rng, ring, order=60, unit_constant=True)
+        shifted = den.shift(3)
+        want = [num.divide(den), den.invert(), num.shift(3).divide(shifted)]
+
+        def no_init(self, ring, coeffs):
+            raise AssertionError("reduced again")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", no_init)
+        got = [num.divide(den), den.invert(), num.shift(3).divide(shifted)]
+        monkeypatch.undo()
+        assert got == want
+        m = ring.modulus
+        for q in got:
+            assert type(q.coeffs) is tuple
+            assert q.coeffs == TruncatedSeries(ring, q.coeffs).coeffs
+            if m:
+                assert all(0 <= c < m for c in q.coeffs)
+
+
+class TestPackedSlots:
+    """_pack and _unpack at every slot width, the wide (> 8 bytes) ones
+    included: the extreme values of a slot come back unchanged."""
+
+    @pytest.mark.parametrize("signed", [True, False])
+    def test_round_trip(self, rng, signed):
+        for w in range(1, 21):
+            top = 1 << 8 * w - signed
+            lo = -top if signed else 0
+            c = [lo, top - 1, 0, 1] + [rng.randrange(lo, top)
+                                       for _ in range(50)]
+            packed = series._pack(c, w, signed)
+            assert packed == sum(v << 8 * w * i for i, v in enumerate(c))
+            assert list(series._unpack(packed, len(c), w, signed)) == c
+            # the low slots alone, whatever lies above them
+            assert list(series._unpack(packed, 3, w, signed)) == c[:3]
+
+
+def plain_quotient(num, dens, k, n):
+    """num / (D_1(q^k) D_2(q^k) ...) by the recurrence at the whole order,
+    one divisor at a time, each D given by its coefficients in q."""
+    g = list(num)
+    for den in dens:
+        dnz = [(k * j, v) for j, v in enumerate(den) if v and j and k * j < n]
+        g = series._quotient(g, dnz, 1, n, 0)
+    return g
+
+
+class TestPackedQuotient:
+    """Division by series in q^k over Z on k-slot packed ints, against
+    the recurrence at the whole order."""
+
+    @pytest.mark.parametrize("k", [2, 3, 7, 24])
+    def test_equals_the_plain_recurrence(self, rng, k):
+        # signed numerators up to 300 bits, up to four divisions (the
+        # same divisor repeated often), orders mostly not multiples of k,
+        # and slots as narrow as the numerator and the quotient allow, or
+        # a little wider
+        for _ in range(12):
+            n = rng.randint(1, 12 * k + 40)
+            size = -(-n // k)
+            atoms = [euler_f(1, size), euler_cube(1, size),
+                     ramanujan_theta((1, 3), size),
+                     ramanujan_theta((1, 1), size)]
+            dens = [rng.choice(atoms[:rng.randint(1, 4)]).coeffs
+                    for _ in range(rng.randint(0, 4))]
+            height = 1 << rng.randint(0, 300)
+            num = [rng.randint(-height, height) for _ in range(n)]
+            want = plain_quotient(num, dens, k, n)
+            bits = (max(map(abs, num + want)).bit_length() + 1
+                    + rng.choice((0, 0, 1, 7, 8, 64)))
+            assert series._quotient_packed(num, dens, k, n, bits) == want
+
+    def test_takes_no_slot_wider_than_asked(self, monkeypatch):
+        widths = []
+        for name in ("_to_slots", "_from_slots"):
+            real = getattr(series, name)
+            monkeypatch.setattr(series, name, lambda c, w, bias, real=real: (
+                widths.append(w) or real(c, w, bias)))
+        num = [5, -3, 2, 7, -1]
+        dens = [euler_f(1, 3).coeffs]
+        assert series._quotient_packed(num, dens, 2, 5, 9) == \
+            plain_quotient(num, dens, 2, 5)
+        # 9 bits: 2-byte slots, read as 4-byte rows and back
+        assert widths == [2, 4, 4, 2]
+
 
 class TestMulSubstituted:
     """self * other(q^k), on one class, against the product with the
