@@ -30,12 +30,12 @@ always written with its argument.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable, NamedTuple, Union
 
 from . import qfunctions
-from .series import CoefficientRing, EXACT, SeriesError, TruncatedSeries
+from .series import (CoefficientRing, EXACT, Record, SeriesError,
+                     TruncatedSeries)
 
 
 class QSyntaxError(Exception):
@@ -115,78 +115,77 @@ def tokenize(text: str) -> list[Token]:
 # Syntax tree
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IntLit:
-    value: int
+class _Node(Record):
+    """A syntax-tree node.  Its hash is computed once, at construction,
+    from its type and its fields, whose own hashes are stored, so hashing
+    a tree of any depth never walks it."""
+
+    __slots__ = ("_hash",)
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self.__slots__):
+            args = self._bind(args, kwargs)
+        super().__init__(*args)
+        object.__setattr__(self, "_hash", hash((type(self), *args)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
-@dataclass(frozen=True)
-class QVar:
-    pass
+class IntLit(_Node):
+    __slots__ = ("value",)
 
 
-@dataclass(frozen=True)
-class Euler:
-    k: int
+class QVar(_Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CubicA:
+class Euler(_Node):
+    __slots__ = ("k",)
+
+
+class CubicA(_Node):
     """The cubic theta a(q)."""
 
-
-@dataclass(frozen=True)
-class Septic:
-    letter: str  # "A", "B" or "C", at argument q
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Theta:
-    a: int
-    b: int
+class Septic(_Node):
+    __slots__ = ("letter",)  # "A", "B" or "C", at argument q
 
 
-@dataclass(frozen=True)
-class Subst:
+class Theta(_Node):
+    __slots__ = ("a", "b")
+
+
+class Subst(_Node):
     """Power substitution q -> q^k applied to a named atom."""
 
-    child: "QExpr"
-    k: int
+    __slots__ = ("child", "k")
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "QExpr"
+class Neg(_Node):
+    __slots__ = ("child",)
 
 
-@dataclass(frozen=True)
-class Add:
-    left: "QExpr"
-    right: "QExpr"
+class Add(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Sub:
-    left: "QExpr"
-    right: "QExpr"
+class Sub(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Mul:
-    left: "QExpr"
-    right: "QExpr"
+class Mul(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Div:
-    left: "QExpr"
-    right: "QExpr"
+class Div(_Node):
+    __slots__ = ("left", "right")
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "QExpr"
-    exponent: int
+class Pow(_Node):
+    __slots__ = ("base", "exponent")
 
 
 QExpr = Union[IntLit, QVar, Euler, CubicA, Septic, Theta, Subst,
@@ -417,8 +416,7 @@ def to_text(e: QExpr) -> str:
 # Evaluator
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EvalContext:
+class EvalContext(Record):
     """Target truncation order and coefficient ring for evaluation, and
     the class of coefficients kept: residue, residue + step, ... below
     the order (by default all of them).
@@ -427,23 +425,32 @@ class EvalContext:
     caller (a verification run): a record with no factor besides its
     Euler products, thetas and septic quotients is planned once per
     exponent map, order, ring and class, and read from it after that.
-    Every context derived during the evaluation shares it.
+    Every context derived during the evaluation shares it.  It is neither
+    compared, hashed nor shown.
     """
 
-    order: int
-    ring: CoefficientRing = EXACT
-    step: int = 1
-    residue: int = 0
-    records: dict | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("order", "ring", "step", "residue", "records")
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
+    # Written out: every record and class evaluation derives a context.
+    def __init__(self, order: int, ring: CoefficientRing = EXACT,
+                 step: int = 1, residue: int = 0,
+                 records: dict | None = None) -> None:
+        if order < 1:
             raise ValueError("evaluation order must be positive")
-        if self.step < 1:
-            raise ValueError(f"step must be positive, got {self.step}")
-        if not 0 <= self.residue < self.step:
-            raise ValueError(f"residue must lie in [0, {self.step}), "
-                             f"got {self.residue}")
+        if step < 1:
+            raise ValueError(f"step must be positive, got {step}")
+        if not 0 <= residue < step:
+            raise ValueError(f"residue must lie in [0, {step}), "
+                             f"got {residue}")
+        init = object.__setattr__
+        init(self, "order", order)
+        init(self, "ring", ring)
+        init(self, "step", step)
+        init(self, "residue", residue)
+        init(self, "records", records)
+
+    def _values(self) -> tuple:
+        return (self.order, self.ring, self.step, self.residue)
 
 
 class _EmptyClass(Exception):
@@ -470,8 +477,7 @@ def _atom(node: QExpr) -> int | tuple[int, int] | QExpr | None:
     return None
 
 
-@dataclass(frozen=True)
-class _Quotient:
+class _Quotient(Record):
     """The record c * q^a * prod(rest) * prod atom^e, known to an order.
 
     ``atoms`` maps the key of each Euler product, theta and septic
@@ -482,11 +488,18 @@ class _Quotient:
     the plain part.  c may be any representative of its residue.
     """
 
-    c: int
-    a: int
-    order: int
-    rest: tuple[TruncatedSeries, ...] = ()
-    atoms: dict = field(default_factory=dict)
+    __slots__ = ("c", "a", "order", "rest", "atoms")
+
+    # Written out: an evaluation builds one per node of each record.
+    def __init__(self, c: int, a: int, order: int,
+                 rest: tuple[TruncatedSeries, ...] = (),
+                 atoms: dict | None = None) -> None:
+        init = object.__setattr__
+        init(self, "c", c)
+        init(self, "a", a)
+        init(self, "order", order)
+        init(self, "rest", rest)
+        init(self, "atoms", {} if atoms is None else atoms)
 
     def unit(self, ring: CoefficientRing) -> bool:
         """Whether the plain part is a unit, so dividing by it can fail
@@ -520,7 +533,7 @@ class _Quotient:
 
     def plain(self, ring: CoefficientRing) -> TruncatedSeries:
         """The plain part c * q^a * prod(rest) as a series."""
-        return replace(self, atoms={}).series(ring)
+        return self.replace(atoms={}).series(ring)
 
     def series(self, ring: CoefficientRing, step: int = 1,
                residue: int = 0, records: dict | None = None
@@ -582,7 +595,7 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
     whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
-    whole = replace(ctx, step=1, residue=0)
+    whole = ctx.replace(step=1, residue=0)
     values: list[_Quotient] = []
     stack: list[tuple[QExpr, bool]] = [(root, False)]
     while stack:
@@ -591,7 +604,7 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
             x = values.pop()
             try:
                 if isinstance(node, Neg):
-                    x = replace(x, c=-x.c)
+                    x = x.replace(c=-x.c)
                 elif isinstance(node, Pow):
                     x = x.power(node.exponent, ring)
                 elif isinstance(node, Mul):
@@ -632,7 +645,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return _evaluate_class(e, ctx)
         except _EmptyClass:
             # the whole evaluation raises what it would, then extract
-            whole = evaluate(e, replace(ctx, step=1, residue=0))
+            whole = evaluate(e, ctx.replace(step=1, residue=0))
             return whole.extract(ctx.step, ctx.residue)
     try:
         if isinstance(e, IntLit):
@@ -649,7 +662,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
         if isinstance(e, Theta):
             return qfunctions.ramanujan_theta((e.a, e.b), n, ring)
         if isinstance(e, Subst):
-            inner = evaluate(e.child, replace(ctx, order=-(-n // e.k)))
+            inner = evaluate(e.child, ctx.replace(order=-(-n // e.k)))
             return inner.substitute_power(e.k, cap=n)
         if isinstance(e, (Mul, Div, Pow, Neg)):
             return _product(e, ctx)
@@ -686,7 +699,7 @@ def _evaluate_class(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
             return _product(e, ctx)
         except SeriesError as exc:
             raise EvalError(str(exc), to_text(e)) from exc
-    whole = evaluate(e, replace(ctx, step=1, residue=0))
+    whole = evaluate(e, ctx.replace(step=1, residue=0))
     if whole.order <= ctx.residue:
         raise _EmptyClass
     return whole.extract(ctx.step, ctx.residue)

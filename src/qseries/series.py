@@ -18,7 +18,6 @@ import sys
 from array import array
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from itertools import accumulate, chain, compress, repeat
 from math import gcd
 from operator import add, itemgetter, sub
@@ -41,15 +40,107 @@ class ValuationError(SeriesError):
     """A q-valuation precondition failed, or no known coefficients remain."""
 
 
-@dataclass(frozen=True)
-class CoefficientRing:
+class Record:
+    """An immutable record whose fields are its class's own ``__slots__``.
+
+    A record is built by position or keyword; a field left out takes
+    its value from the class's ``_defaults``.  Assigning a field raises
+    AttributeError.  Two records are equal when they have the same type
+    and equal fields (``_values()``), equal records hash equal, and
+    ``replace(**changes)`` is a copy with some fields changed.  No code
+    is generated: a class on a hot path writes its own ``__init__``,
+    ``__eq__`` and ``__hash__``.
+    """
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init__(self, *args, **kwargs) -> None:
+        names = self.__slots__
+        if kwargs or len(args) != len(names):
+            args = self._bind(args, kwargs)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _bind(cls, args: tuple, kwargs: dict) -> list:
+        """The field values of a call with keywords or defaults."""
+        names, title = cls.__slots__, cls.__name__
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes at most {len(names)} "
+                            f"arguments ({len(args)} given)")
+        values = {**cls._defaults, **dict(zip(names, args))}
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{title}() got an unexpected keyword "
+                                f"argument {name!r}")
+            if name in names[:len(args)]:
+                raise TypeError(f"{title}() got multiple values for "
+                                f"argument {name!r}")
+            values[name] = value
+        missing = [name for name in names if name not in values]
+        if missing:
+            raise TypeError(f"{title}() missing arguments: "
+                            + ", ".join(map(repr, missing)))
+        return [values[name] for name in names]
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of "
+                             f"{type(self).__name__}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of "
+                             f"{type(self).__name__}")
+
+    def _values(self) -> tuple:
+        """The fields compared, hashed and shown, in order."""
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value
+                           in zip(self.__slots__, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes) -> Record:
+        """A copy with the given fields changed."""
+        values = {name: getattr(self, name) for name in self.__slots__}
+        values.update(changes)
+        return type(self)(**values)
+
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild the record through __init__, which
+        # assigning the fields one by one would bypass
+        return type(self), tuple([getattr(self, name)
+                                  for name in self.__slots__])
+
+
+class CoefficientRing(Record):
     """Coefficient domain: exact integers (modulus 0) or Z/m with m >= 2."""
 
-    modulus: int = 0
+    __slots__ = ("modulus",)
 
-    def __post_init__(self) -> None:
-        if self.modulus < 0 or self.modulus == 1:
-            raise ValueError(f"modulus must be 0 or >= 2, got {self.modulus}")
+    # Written out: rings are compared and hashed in every series
+    # operation and memo lookup.
+    def __init__(self, modulus: int = 0) -> None:
+        if modulus < 0 or modulus == 1:
+            raise ValueError(f"modulus must be 0 or >= 2, got {modulus}")
+        object.__setattr__(self, "modulus", modulus)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not CoefficientRing:
+            return NotImplemented
+        return self.modulus == other.modulus
+
+    def __hash__(self) -> int:
+        return hash(self.modulus)
 
     def is_unit(self, v: int) -> bool:
         if self.modulus == 0:
@@ -629,12 +720,9 @@ class TruncatedSeries:
         n = self.order + t if cap is None else min(self.order + t, cap)
         if n < 1:
             raise ValuationError("shift cap leaves no known coefficients")
-        coeffs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            if t + i >= n:
-                break
-            coeffs[t + i] = c
-        return TruncatedSeries._of_residues(self.ring, coeffs)
+        zeros = min(t, n)
+        return TruncatedSeries._of_residues(
+            self.ring, (0,) * zeros + self.coeffs[:n - zeros])
 
     def truncate(self, order: int) -> TruncatedSeries:
         """Restrict to a smaller (or equal) truncation order."""
@@ -826,9 +914,5 @@ class TruncatedSeries:
         if n < 1:
             raise ValuationError("substitution cap leaves no known coefficients")
         coeffs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            j = i * k
-            if j >= n:
-                break
-            coeffs[j] = c
+        coeffs[::k] = self.coeffs[:-(-n // k)]
         return TruncatedSeries._of_residues(self.ring, coeffs)

@@ -30,13 +30,12 @@ verified".
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable, Iterable, Iterator, Union
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .qfunctions import bipartition_series, euler_f
-from .series import (EXACT, SeriesError, TruncatedSeries, mod_ring)
+from .series import EXACT, Record, SeriesError, TruncatedSeries, mod_ring
 
 CHAIN_NOTE = "chain verified link-wise"
 INDUCTION_NOTE = "induction-link verified"
@@ -46,39 +45,32 @@ INDUCTION_NOTE = "induction-link verified"
 # Declarative check records
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DissectionPipeline:
+class DissectionPipeline(Record):
     """A seed expression followed by (step, residue) coefficient extractions."""
 
-    seed: str
-    steps: tuple[tuple[int, int], ...]
+    __slots__ = ("seed", "steps")  # str, tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Claim: lhs = rhs as series, in the given ring, to the given order."""
+class IdentityCheck(Record):
+    """Claim: lhs = rhs as series, in the given ring, to the given order.
+    lhs is expression text or a DissectionPipeline; modulus 0 means Z."""
 
-    name: str
-    lhs: Union[str, DissectionPipeline]
-    rhs: str
-    modulus: int = 0
-    order: int = 500
+    __slots__ = ("name", "lhs", "rhs", "modulus", "order")
+    _defaults = {"modulus": 0, "order": 500}
 
 
-@dataclass(frozen=True)
-class CongruenceCheck:
+class CongruenceCheck(Record):
     """Claim: family(A1*n+B1) = multiplier * family(A2*n+B2) (mod m) for
-    n below the scan count; a missing right progression means = 0."""
+    n below the scan count; a missing right progression means = 0.
 
-    name: str
-    family: tuple[int, int]
-    lhs: tuple[int, int]
-    rhs: tuple[int, int] | None
-    modulus: int
-    count: int
-    multiplier: int = 1
+    family is (s, t); lhs and rhs are (step, offset) progressions."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ("name", "family", "lhs", "rhs", "modulus", "count",
+                 "multiplier")
+    _defaults = {"multiplier": 1}
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         for side, (step, offset) in (("left", self.lhs),
                                      ("right", self.rhs or (1, 0))):
             if step < 1 or offset < 0:
@@ -86,38 +78,29 @@ class CongruenceCheck:
                     f"{side} progression needs step >= 1, offset >= 0")
 
 
-@dataclass(frozen=True)
-class BinomialCheck:
+class BinomialCheck(Record):
     """Claim: f_p = f_1^p (mod p) to the given order, for each prime."""
 
-    name: str
-    primes: tuple[int, ...]
-    order: int = 500
+    __slots__ = ("name", "primes", "order")
+    _defaults = {"order": 500}
 
 
 Check = Union[IdentityCheck, CongruenceCheck, BinomialCheck]
 
 
-@dataclass(frozen=True)
-class RegistryItem:
-    id: str
-    kind: str  # "identity" | "chain" | "scan" | "binomial"
-    description: str
-    tags: tuple[str, ...]
-    checks: tuple[Check, ...]
-    note: str | None = None
+class RegistryItem(Record):
+    """A registry entry; kind is "identity", "chain", "scan" or "binomial"."""
+
+    __slots__ = ("id", "kind", "description", "tags", "checks", "note")
+    _defaults = {"note": None}
 
 
-@dataclass
-class VerificationReport:
-    """Outcome of one registry item (or standalone check)."""
+class VerificationReport(Record):
+    """Outcome of one registry item (or standalone check): status "pass"
+    or "fail", the order checked (or scan count), the first mismatch."""
 
-    id: str
-    status: str                 # "pass" | "fail"
-    order: int                  # order checked, or scan count
-    mismatch: dict | None
-    millis: float
-    note: str | None = None
+    __slots__ = ("id", "status", "order", "mismatch", "millis", "note")
+    _defaults = {"note": None}
 
     def as_dict(self) -> dict:
         d = {"id": self.id, "status": self.status, "order": self.order,
@@ -127,10 +110,13 @@ class VerificationReport:
         return d
 
 
-@dataclass
-class RegistryRun:
-    reports: list[VerificationReport] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class RegistryRun(Record):
+    __slots__ = ("reports", "warnings")
+
+    def __init__(self, reports: list[VerificationReport] | None = None,
+                 warnings: list[str] | None = None) -> None:
+        super().__init__([] if reports is None else reports,
+                         [] if warnings is None else warnings)
 
     @property
     def all_passed(self) -> bool:

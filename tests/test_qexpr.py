@@ -4,7 +4,6 @@ import os
 import random
 import re
 from collections import Counter
-from dataclasses import replace
 from math import isqrt
 
 import pytest
@@ -114,6 +113,14 @@ class TestParse:
 
     def test_tokens_entry_point(self):
         assert parse(tokenize("1+q")) == Add(IntLit(1), QVar())
+
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_deep_tree_hash(self, op):
+        # each node stores its hash, computed from its children's, so a
+        # tree of any depth hashes without walking it
+        text = f"q{op}" * 2999 + "q"
+        a, b = parse_expr(text), parse_expr(text)
+        assert a is not b and hash(a) == hash(b)
 
 
 def _random_tree(rng, depth):
@@ -482,7 +489,7 @@ class TestClassEvaluation:
             whole = EvalContext(rng.randint(1, 70), ring)
             want_whole = _class_outcome(lambda: evaluate(tree, whole))
             for residue in range(step):
-                ctx = replace(whole, step=step, residue=residue)
+                ctx = whole.replace(step=step, residue=residue)
                 want = (want_whole if isinstance(want_whole[0], type) else
                         _class_outcome(lambda: evaluate(tree, whole).extract(
                             step, residue)))

@@ -1,9 +1,15 @@
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
 from qseries import oracle, series
+from qseries.qexpr import (Add, Div, EvalContext, Euler, IntLit, Mul, QVar,
+                           Sub, Theta, parse_expr)
 from qseries.oracle import count_partitions, naive_euler
 from qseries.qfunctions import (
     eta_quotient,
@@ -21,6 +27,9 @@ from qseries.series import (
     ValuationError,
     mod_ring,
 )
+from qseries.verify import (BinomialCheck, CongruenceCheck,
+                            DissectionPipeline, IdentityCheck, RegistryItem,
+                            RegistryRun, VerificationReport)
 
 from conftest import random_series
 
@@ -47,6 +56,104 @@ class TestRing:
         assert not mod_ring(12).is_unit(4)
         with pytest.raises(NonUnitError):
             mod_ring(12).inverse(4)
+
+
+# Each row builds a record and, where one exists, a record of another
+# type with the same fields and values.
+RECORDS = {
+    "add": (lambda: Add(QVar(), Euler(1)), lambda: Sub(QVar(), Euler(1))),
+    "mul": (lambda: Mul(IntLit(2), Theta(1, 2)),
+            lambda: Div(IntLit(2), Theta(1, 2))),
+    "tree": (lambda: parse_expr("A(q^7)/f1^-2 - a(q)"), None),
+    "ring": (lambda: mod_ring(5), None),
+    "context": (lambda: EvalContext(30, mod_ring(5), 3, 1), None),
+    "identity": (lambda: IdentityCheck(
+        "x", DissectionPipeline("f1", ((2, 1),)), "f2", modulus=5), None),
+    "congruence": (lambda: CongruenceCheck("x", (2, 15), (9, 8), None, 5, 7),
+                   None),
+    "binomial": (lambda: BinomialCheck("x", (2, 3)), None),
+    "item": (lambda: RegistryItem("x", "scan", "d", ("t",), ()), None),
+    "report": (lambda: VerificationReport("x", "pass", 10, None, 1.5), None),
+    "run": (lambda: RegistryRun(), None),
+}
+
+
+class TestRecord:
+    """Records are slotted, immutable and compared by type and fields."""
+
+    @pytest.mark.parametrize("make, other", RECORDS.values(), ids=RECORDS)
+    def test_semantics(self, make, other):
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        if other is not None:
+            assert a != other() and a._values() == other()._values()
+        try:
+            assert hash(a) == hash(b)
+        except TypeError:  # a record holding a list compares, unhashed
+            assert isinstance(a, RegistryRun)
+        for name in a.__slots__:
+            with pytest.raises(AttributeError):
+                setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            a.unknown = 1
+        assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__)
+        assert a.replace() == a and a.replace() is not a
+        assert pickle.loads(pickle.dumps(a)) == a
+
+    def test_replace_rebuilds(self):
+        tree = Add(QVar(), Euler(1))
+        assert tree.replace(right=Euler(2)) == Add(QVar(), Euler(2))
+        assert hash(tree.replace(right=Euler(2))) == hash(Add(QVar(), Euler(2)))
+        check = IdentityCheck("x", "f1", "f1")
+        assert (check.modulus, check.order) == (0, 500)
+        assert check.replace(order=7) == IdentityCheck("x", "f1", "f1", 0, 7)
+
+    @pytest.mark.parametrize("call", [
+        lambda: IdentityCheck("x", "f1"),
+        lambda: IdentityCheck("x", "f1", "f1", 0, 500, 1),
+        lambda: IdentityCheck("x", "f1", "f1", name="y"),
+        lambda: IdentityCheck("x", "f1", "f1", mod=5),
+        lambda: Add(QVar()),
+        lambda: EvalContext(10).replace(depth=2),
+    ], ids=["missing", "too-many", "twice", "unknown", "node", "replace"])
+    def test_bad_arguments(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_context_ignores_records(self):
+        plain = EvalContext(30, mod_ring(5), 3, 1)
+        held = EvalContext(30, mod_ring(5), 3, 1, {"memo": 1})
+        assert plain == held and hash(plain) == hash(held)
+        assert repr(held) == repr(plain) == (
+            "EvalContext(order=30, ring=CoefficientRing(modulus=5), "
+            "step=3, residue=1)")
+        assert held.replace(step=1, residue=0).records is held.records
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: EvalContext(0), "evaluation order must be positive"),
+        (lambda: EvalContext(10, EXACT, 0), "step must be positive, got 0"),
+        (lambda: EvalContext(10, EXACT, 3, 3),
+         r"residue must lie in \[0, 3\), got 3"),
+        (lambda: CoefficientRing(1), "modulus must be 0 or >= 2, got 1"),
+        (lambda: CongruenceCheck("x", (2, 15), (0, 8), None, 5, 7),
+         "left progression needs step >= 1, offset >= 0"),
+        (lambda: CongruenceCheck("x", (2, 15), (9, 8), (3, -1), 5, 7),
+         "right progression needs step >= 1, offset >= 0"),
+    ], ids=["order", "step", "residue", "ring", "left", "right"])
+    def test_validation(self, call, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+    def test_cold_import_generates_no_code(self):
+        # the records are plain slotted classes: importing the package
+        # loads none of the modules dataclasses would bring in
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        code = (f"import sys; sys.path.insert(0, {src!r}); import qseries; "
+                "print(*sorted({'dataclasses', 'inspect', 'ast', 'dis'}"
+                " & set(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", code],
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == []
 
 
 class TestAdd:
@@ -891,6 +998,27 @@ class TestShiftScalarReduce:
 
     def test_shift_cap(self):
         assert S(1, 1).shift(2, cap=3).coeffs == (0, 0, 1)
+
+    def test_slices_match_the_coefficient_loop(self):
+        # shift and substitute_power copy by slices; the loop they
+        # replaced is the reference
+        rng = random.Random(7)
+        for _ in range(300):
+            a = S(*(rng.randint(-9, 9) for _ in range(rng.randint(1, 12))))
+            t, k = rng.randint(0, 15), rng.randint(1, 5)
+            cap = rng.choice([None, rng.randint(1, 40)])
+            n = a.order + t if cap is None else min(a.order + t, cap)
+            want = [0] * n
+            for i, c in enumerate(a.coeffs):
+                if t + i < n:
+                    want[t + i] = c
+            assert a.shift(t, cap).coeffs == tuple(want)
+            n = a.order * k if cap is None else min(a.order * k, cap)
+            want = [0] * n
+            for i, c in enumerate(a.coeffs):
+                if i * k < n:
+                    want[i * k] = c
+            assert a.substitute_power(k, cap).coeffs == tuple(want)
 
     def test_scalar_then_reduce_commutes_with_reduced_scalar(self):
         f75 = euler_f(7, 80) ** 5

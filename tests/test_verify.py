@@ -2,7 +2,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -457,8 +456,8 @@ class TestRecordMemo:
                             ctx = EvalContext(order, ring, step, residue)
                             want = evaluate(tree, ctx)
                             for _ in range(2):  # planned, then read back
-                                assert evaluate(tree, replace(
-                                    ctx, records=records)) == want
+                                assert evaluate(tree, ctx.replace(
+                                    records=records)) == want
         assert records
 
     def test_runs_share_nothing(self, plans):
