@@ -235,17 +235,15 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
     numerator series, each known at least to ``order``.
 
-    Over Z/p with p prime, f_pk^e with e > 0 is first rewritten as
-    f_k^(p*e) wherever f_k has a negative exponent, visiting k in
-    descending order so that one rewrite can feed the next: f_pk = f_k^p
-    (mod p), since (1 - x)^p = 1 - x^p there, and a positive power costs
-    multiplications where a negative one costs quotient recurrences.
-    Then, visiting k in ascending order, every f_k^-e (e > 0) becomes
-    f_k^(c*p - e) * f_pk^-c with c = ceil(e / p).  f_pk^-c joins f_pk's
-    own exponent when the record has one, which is visited in turn;
-    otherwise it is (f_1^-c)(q^pk), with f_1^-c planned by this function
-    at order ceil(order / pk), where the same rule applies again, and
-    multiplied in class by class
+    Over Z/p with p prime, f_pk = f_k^p (mod p), since (1 - x)^p =
+    1 - x^p there, and a positive power costs multiplications where a
+    negative one costs quotient recurrences.  So, visiting k in
+    ascending order, every f_k^-e (e > 0) becomes f_k^(c*p - e) *
+    f_pk^-c with c = ceil(e / p).  f_pk^-c joins f_pk's own exponent
+    when the record has one, which is visited in turn (f_11 f_1^-2 is
+    f_1^9 mod 11); otherwise it is (f_1^-c)(q^pk), with f_1^-c planned
+    by this function at order ceil(order / pk), where the same rule
+    applies again, and multiplied in class by class
     (:meth:`TruncatedSeries.mul_substituted`); from pk >= order on it is
     1 and dropped.  So no Euler product is divided out over Z/p:
     B_{2,15} = f_2 f_15 / f_1^2 becomes f_2 f_15 f_1^3 (1/f_1)(q^5) mod
@@ -289,14 +287,10 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     subs: dict[int, int] = {}  # j: c, for f_j^-c = (f_1^-c)(q^j)
     if (p and any(exponents[k] < 0 for k in euler)
             and all(p % d for d in range(2, isqrt(p) + 1))):
-        for k in reversed(euler):
-            if (not k % p and exponents[k] > 0
-                    and exponents.get(k // p, 0) < 0):
-                exponents[k // p] += p * exponents.pop(k)
         for k in euler:
             # f_k^-e = f_k^(cp - e) / f_pk^c, c = ceil(e / p); f_pk^-c
             # joins f_pk's own exponent, or is substituted
-            e = exponents.get(k, 0)
+            e = exponents[k]
             if e < 0:
                 c = -(e // p)
                 exponents[k] = e + c * p
@@ -304,6 +298,7 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
                     exponents[p * k] -= c
                 else:
                     subs[p * k] = c
+        exponents = {key: e for key, e in exponents.items() if e}
     if step == 1:
         return _plan(exponents, order, ring, factors, subs=subs)
     outer: dict = {}

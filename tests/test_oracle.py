@@ -95,7 +95,8 @@ class TestCountBipartitions:
     @pytest.mark.parametrize("s,t,m", [(2, 15, 5), (7, 11, 11),
                                        (27, 11, 11), (243, 17, 17)])
     def test_matches_modular_series(self, s, t, m):
-        # over a prime modulus the family build folds f_m into f_1^m;
+        # over a prime modulus the family build trades 1/f_1^2 for
+        # f_1^(m-2)/f_m, cancelling f_m where it is a factor;
         # the oracle counts in Z and knows nothing of that
         want = [c % m for c in count_bipartitions(s, t, 1000)]
         assert want == list(bipartition_series(s, t, 1000, mod_ring(m)).coeffs)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from qseries import qfunctions
+from qseries import qfunctions, series
 from qseries.oracle import (
     bilateral_theta,
     count_bipartitions,
@@ -168,10 +168,10 @@ def _record_built(monkeypatch):
 
 
 class TestFrobeniusFold:
-    """Over Z/p, p prime, f_pk^e is folded into f_k^(pe) against a negative
-    power of f_k, and f_k^-e becomes f_k^(cp-e) * (f_1^-c)(q^pk) with
-    f_1^-c planned at order ceil(n / pk); for composite m (4, 6, 9)
-    neither happens."""
+    """Over Z/p, p prime, f_k^-e becomes f_k^(cp-e) * f_pk^-c, which
+    cancels against a positive power of f_pk, or else is (f_1^-c)(q^pk)
+    with f_1^-c planned at order ceil(n / pk); for composite m (4, 6, 9)
+    nothing is rewritten."""
 
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 9, 11, 17])
     def test_equals_exact_quotient_reduced(self, monkeypatch, m, rng):
@@ -194,8 +194,9 @@ class TestFrobeniusFold:
 
     @pytest.mark.parametrize("exponents,m,built", [
         ({11: 1, 1: -2}, 11, {(1, 200)}),
-        ({121: 1, 11: -1, 1: -2}, 11, {(1, 200)}),  # 121 -> 11 -> 1
-        ({9: 1, 3: -1, 1: -1}, 3, {(1, 200)}),
+        # f_1^9 f_11^9: f_11^-2 cancels f_121
+        ({121: 1, 11: -1, 1: -2}, 11, {(1, 200), (11, 200)}),
+        ({9: 1, 3: -1, 1: -1}, 3, {(1, 200), (3, 200)}),  # f_1^2 f_3
         ({4: 1, 2: -1}, 2, {(2, 200)}),
         ({11: 1, 1: 2}, 11, {(1, 200), (11, 200)}),  # nothing to cancel
         # f_11 is not in the numerator: f_11^10 (1/f_1)(q^121), 1/f_1 at
@@ -260,13 +261,13 @@ class TestFrobeniusFold:
     def test_b215_class_build_divides_only_below_a_fifth(self, monkeypatch):
         n = 26997
         orders = []
-        prefix = TruncatedSeries._quotient_prefix
+        quotient = series._quotient
 
-        def recorded(self, num, den, order):
+        def recorded(num, den, order, ring):
             orders.append(order)
-            return prefix(self, num, den, order)
+            return quotient(num, den, order, ring)
 
-        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix", recorded)
+        monkeypatch.setattr(series, "_quotient", recorded)
         got = bipartition_series(2, 15, n, mod_ring(5), 3, 2)
         assert got.order == 8999
         assert all(order <= -(-n // 5) for order in orders)

@@ -267,8 +267,8 @@ class TestPower:
         # e = -200, 199 * 40 terms exceed the 9 squarings times N, so the
         # inverse is powered over Z too.
         calls = []
-        real = TruncatedSeries._quotient_prefix
-        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix",
+        real = series._quotient
+        monkeypatch.setattr(series, "_quotient",
                             lambda *args: calls.append(1) or real(*args))
         f1 = euler_f(1, 600, ring)
         want = eta_quotient({1: e}, 600, ring)
@@ -285,8 +285,8 @@ class TestPower:
         want = base.invert()
         want = want ** -e
         calls = []
-        real = TruncatedSeries._quotient_prefix
-        monkeypatch.setattr(TruncatedSeries, "_quotient_prefix",
+        real = series._quotient
+        monkeypatch.setattr(series, "_quotient",
                             lambda *args: calls.append(1) or real(*args))
         assert base ** e == want
         assert len(calls) == 1
@@ -619,12 +619,15 @@ class TestPackedSlots:
 
 
 def plain_quotient(num, dens, k, n):
-    """num / (D_1(q^k) D_2(q^k) ...) by the recurrence at the whole order,
-    one divisor at a time, each D given by its coefficients in q."""
+    """num / (D_1(q^k) D_2(q^k) ...) by the schoolbook recurrence at the
+    whole order, one divisor at a time, each D given by its coefficients
+    in q."""
     g = list(num)
     for den in dens:
-        dnz = [(k * j, v) for j, v in enumerate(den) if v and j and k * j < n]
-        g = series._quotient(g, dnz, 1, n, 0)
+        substituted = [0] * n
+        for j, v in enumerate(den[:-(-n // k)]):
+            substituted[k * j] = v
+        g = schoolbook_quotient(g, substituted, 0)
     return g
 
 
@@ -750,12 +753,13 @@ class TestDivide:
 
 
 def schoolbook_quotient(num, den, m):
-    """num/den mod m by the quotient recurrence, one term at a time."""
-    inv = pow(den[0], -1, m)
+    """num/den mod m (m = 0: over Z, where den[0] is +-1 and its own
+    inverse) by the quotient recurrence, one term at a time."""
+    inv = pow(den[0], -1, m) if m else den[0]
     g = []
     for i in range(len(num)):
         s = num[i] - sum(den[k] * g[i - k] for k in range(1, min(i + 1, len(den))))
-        g.append(s * inv % m)
+        g.append(s * inv % m if m else s * inv)
     return g
 
 
@@ -772,42 +776,26 @@ def recorded_gathers(monkeypatch):
 
 
 class TestUnitTermQuotient:
-    """Every divisor in Z/m, and every divisor over Z whose terms are all
-    +1 or -1, takes the gather, which sums the +1 terms and the -1 terms
-    (m - 1 in Z/m) without products; any other term over Z sends the
-    divisor to the loop."""
+    """The quotient recurrence sums the +1 terms and the -1 terms (m - 1
+    in Z/m) of a divisor without products, and multiplies every other
+    term in one at a time, in Z and in Z/m alike; checked against the
+    schoolbook recurrence."""
 
     @pytest.mark.parametrize("ring", UNIT_TERM_RINGS, ids=str)
-    def test_matches_the_general_recurrence(self, monkeypatch, rng, ring):
+    def test_matches_the_general_recurrence(self, rng, ring):
         m = ring.modulus
         n = 300
-        taken = []
-        for name in ("_quotient_gather", "_quotient_loop"):
-            real = getattr(series, name)
-            monkeypatch.setattr(series, name,
-                                lambda *args, real=real, name=name:
-                                taken.append(name) or real(*args))
         two = list(euler_f(1, n).coeffs)
         two[4] = 2  # not +-1 unless m is 2 (where it is 0) or 3
-        divisors = [
-            (euler_f(1, n, ring), "_quotient_gather"),
-            (euler_f(3, n, ring), "_quotient_gather"),
-            (-euler_f(2, n, ring), "_quotient_gather"),
-            (ramanujan_theta((1, 2), n, ring), "_quotient_gather"),
-            (TruncatedSeries(ring, two),
-             "_quotient_gather" if m else "_quotient_loop"),
-        ]
-        for den, branch in divisors:
+        divisors = [euler_f(1, n, ring), euler_f(3, n, ring),
+                    -euler_f(2, n, ring), ramanujan_theta((1, 2), n, ring),
+                    TruncatedSeries(ring, two)]
+        for den in divisors:
             num = random_series(rng, ring, order=n)
-            taken.clear()
             got = num / den
-            assert taken == [branch]
             assert got * den == num
-            dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
-            c0inv = ring.inverse(den.coeffs[0])
-            want = (schoolbook_quotient(num.coeffs, den.coeffs, m) if m
-                    else series._quotient_loop(num.coeffs, dnz, c0inv, n))
-            assert list(got.coeffs) == want
+            assert list(got.coeffs) == schoolbook_quotient(num.coeffs,
+                                                           den.coeffs, m)
 
     @pytest.mark.parametrize("ring", [EXACT, mod_ring(5)], ids=str)
     def test_gathers_never_return_twenty_items(self, monkeypatch, rng, ring):
@@ -821,11 +809,8 @@ class TestUnitTermQuotient:
         sizes = {len(items) for items in made}
         assert 20 not in sizes and {19, 21} <= sizes
         assert got * den == num
-        dnz = [(k, v) for k, v in enumerate(den.coeffs) if v and k]
-        m = ring.modulus
-        want = (schoolbook_quotient(num.coeffs, den.coeffs, m) if m
-                else series._quotient_loop(num.coeffs, dnz, 1, n))
-        assert list(got.coeffs) == want
+        assert list(got.coeffs) == schoolbook_quotient(
+            num.coeffs, den.coeffs, ring.modulus)
 
     def test_pads(self):
         # every pad reads the sentinel g[0] = 0, and no gather of any
@@ -866,12 +851,11 @@ class TestUnitTermQuotient:
         coeffs = list(euler_f(1, n, ring).coeffs)
         if m > 4:
             coeffs[5] = 3
-        dnz = [(k, Term(v)) for k, v in enumerate(coeffs) if v and k]
+        den = coeffs[:1] + [Term(v) for v in coeffs[1:]]
         num = list(random_series(rng, ring, order=n).coeffs)
-        got = series._quotient_gather(num, dnz, 1, n, m)
+        got = series._quotient(num, den, n, ring)
         assert set(products) == ({3} if m > 4 else set())
-        if m:
-            assert got == schoolbook_quotient(num, coeffs, m)
+        assert got == schoolbook_quotient(num, coeffs, m)
 
     @pytest.mark.parametrize("m, values", [
         (4, (2,)),            # a term 2, neither +1 nor -1 = 3, nor a unit
@@ -891,12 +875,38 @@ class TestUnitTermQuotient:
         num = random_series(rng, ring, order=n)
         got = num / den
         assert list(got.coeffs) == schoolbook_quotient(num.coeffs, coeffs, m)
-        # one value per gather, and every term read by one of them
+        # the gathers read the +1 and -1 terms, and only those
         read = set()
         for items in made:
-            assert len({coeffs[-o] for o in items if o}) <= 1
             read.update(-o for o in items if o)
-        assert read == set(terms)
+        assert read == {k for k in terms if coeffs[k] in (1, m - 1)}
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(11), mod_ring(9)],
+                             ids=str)
+    @pytest.mark.parametrize("count", [1, 19, 20, 21])
+    def test_other_values_beside_the_sign_gathers(self, monkeypatch, rng,
+                                                  ring, count):
+        # count terms that are neither +1 nor -1, values repeated, among
+        # f_1's +1s and -1s: the two sign gathers read the +1s and -1s
+        # and none of them, and no gather returns 20 items
+        made = recorded_gathers(monkeypatch)
+        n = 150
+        m = ring.modulus
+        coeffs = list(euler_f(1, n, ring).coeffs)
+        others = sorted(rng.sample(
+            [k for k, v in enumerate(coeffs) if k and not v], count))
+        for k in others:
+            coeffs[k] = rng.choice((2, 3, 6, -4))
+        den = TruncatedSeries(ring, coeffs)
+        num = TruncatedSeries(ring, [rng.getrandbits(300) - (1 << 299)
+                                     for _ in range(n)])
+        got = num / den
+        assert list(got.coeffs) == schoolbook_quotient(num.coeffs,
+                                                       den.coeffs, m)
+        read = {-o for items in made for o in items if o}
+        assert read == {k for k, v in enumerate(coeffs) if k and v
+                        and k not in others}
+        assert 20 not in set(map(len, made))
 
 
 class TestModularGather:
@@ -920,7 +930,8 @@ class TestModularGather:
     def test_jacobi_cube_matches_the_general_recurrence(self, monkeypatch,
                                                         rng, m):
         # the cube's terms (-1)^n (2n+1) take up to m - 1 values mod m
-        # (all are 1 mod 4); each value's terms share one gather
+        # (all are 1 mod 4); those neither +1 nor -1 are multiplied in
+        # one at a time
         sizes = set()
         real = series.itemgetter
         monkeypatch.setattr(series, "itemgetter", lambda *items: sizes.add(
@@ -928,8 +939,7 @@ class TestModularGather:
         n = 1500
         den = euler_cube(1, n, mod_ring(m)).coeffs
         num = [rng.randrange(m) for _ in range(n)]
-        dnz = [(k, v) for k, v in enumerate(den) if v and k]
-        got = series._quotient_gather(num, dnz, 1, n, m)
+        got = series._quotient(num, den, n, mod_ring(m))
         assert got == schoolbook_quotient(num, den, m)
         assert 20 not in sizes and len(sizes) > 1
 
