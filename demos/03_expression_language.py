@@ -34,8 +34,8 @@ print("f2^2/f1 3-dissection holds to order 40:", lhs == rhs)
 # Modular evaluation, e.g. everything mod 11:
 print("f1^9 mod 11:", evaluate_text("f1^9", 8, mod_ring(11)).coeffs)
 
-# Substituted atoms evaluate at a proportionally larger internal order,
-# so the final truncation is honest:
+# A substituted atom X(q^k) is X at the smaller inner order ceil(N/k),
+# with q^k put for q, which gives every coefficient below N:
 print("A(q^7) prefix:", evaluate_text("A(q^7)", 12).coeffs)
 
 # Errors carry positions (syntax) or the offending fragment (evaluation).

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from typing import Callable, NamedTuple, Union
+from typing import Iterator, NamedTuple, Union
 
 from . import qfunctions
 from .series import (CoefficientRing, EXACT, Record, SeriesError,
@@ -145,23 +145,21 @@ class Euler(_Node):
 
 
 class CubicA(_Node):
-    """The cubic theta a(q)."""
+    """The cubic theta a(q^k)."""
 
-    __slots__ = ()
+    __slots__ = ("k",)
+    _defaults = {"k": 1}
 
 
 class Septic(_Node):
-    __slots__ = ("letter",)  # "A", "B" or "C", at argument q
+    """The septic quotient A, B or C at argument q^k."""
+
+    __slots__ = ("letter", "k")
+    _defaults = {"k": 1}
 
 
 class Theta(_Node):
     __slots__ = ("a", "b")
-
-
-class Subst(_Node):
-    """Power substitution q -> q^k applied to a named atom."""
-
-    __slots__ = ("child", "k")
 
 
 class Neg(_Node):
@@ -188,8 +186,8 @@ class Pow(_Node):
     __slots__ = ("base", "exponent")
 
 
-QExpr = Union[IntLit, QVar, Euler, CubicA, Septic, Theta, Subst,
-              Neg, Add, Sub, Mul, Div, Pow]
+QExpr = Union[IntLit, QVar, Euler, CubicA, Septic, Theta, Neg, Add, Sub,
+              Mul, Div, Pow]
 
 
 # --------------------------------------------------------------------------
@@ -275,13 +273,10 @@ class _Parser:
                 return QVar()
             if tok.text == "a":
                 self.advance()
-                k = self.parse_q_argument(required=True)
-                return CubicA() if k == 1 else Subst(CubicA(), k)
+                return CubicA(self.parse_q_argument(required=True))
             if tok.text in ("A", "B", "C"):
                 self.advance()
-                k = self.parse_q_argument(required=False)
-                atom: QExpr = Septic(tok.text)
-                return atom if k == 1 else Subst(atom, k)
+                return Septic(tok.text, self.parse_q_argument(required=False))
             if tok.text == "theta":
                 self.advance()
                 self.expect("OP", "(")
@@ -384,17 +379,11 @@ def to_text(e: QExpr) -> str:
     if isinstance(e, Euler):
         return f"f{e.k}"
     if isinstance(e, CubicA):
-        return "a(q)"
+        return "a(q)" if e.k == 1 else f"a(q^{e.k})"
     if isinstance(e, Septic):
-        return e.letter
+        return e.letter if e.k == 1 else f"{e.letter}(q^{e.k})"
     if isinstance(e, Theta):
         return f"theta({e.a},{e.b})"
-    if isinstance(e, Subst):
-        if isinstance(e.child, CubicA):
-            return f"a(q^{e.k})"
-        if isinstance(e.child, Septic):
-            return f"{e.child.letter}(q^{e.k})"
-        raise ValueError("power substitution only wraps named atoms")
     if isinstance(e, Neg):
         return "-" + wrap(e.child, False, _LEVEL_NEG)
     if isinstance(e, (Add, Sub, Mul, Div)):
@@ -458,23 +447,27 @@ class _EmptyClass(Exception):
 
 
 @lru_cache(maxsize=16)
-def _septic_cached(order: int, modulus: int):
+def _septic_cached(order: int, modulus: int) -> dict[str, TruncatedSeries]:
+    """A, B and C by letter, to the order, over Z or Z/modulus."""
     ring = CoefficientRing(modulus)
-    return qfunctions.septic_ABC(order, ring)
+    return dict(zip(qfunctions.SEPTIC_THETA,
+                    qfunctions.septic_ABC(order, ring)))
 
 
 def _atom(node: QExpr) -> int | tuple[int, int] | QExpr | None:
     """The record key of f_k (k), theta(a,b) ((a, b)) or a septic
-    quotient (its node); None for any other node, or a malformed atom."""
-    if isinstance(node, Euler) and node.k >= 1:
+    quotient (its node); None for any other node.  A malformed f_k or
+    theta raises here, as its builder does, where the walk meets it: a
+    key with exponent 0 is never built."""
+    if isinstance(node, Euler):
+        if node.k < 1:
+            qfunctions.euler_f(node.k, 1)
         return node.k
-    if isinstance(node, Theta) and node.a >= 1 and node.b >= 1:
+    if isinstance(node, Theta):
+        if min(node.a, node.b) < 1:
+            qfunctions.ramanujan_theta((node.a, node.b), 1)
         return (node.a, node.b)
-    septic = node.child if isinstance(node, Subst) and node.k >= 1 else node
-    if (isinstance(septic, Septic)
-            and septic.letter in qfunctions.SEPTIC_THETA):
-        return node
-    return None
+    return node if isinstance(node, Septic) else None
 
 
 class _Quotient(Record):
@@ -571,28 +564,28 @@ class _Quotient(Record):
         for key, e in self.atoms.items():
             if isinstance(key, (int, tuple)):
                 exponents[key] += e
-            elif e > 0:  # a septic quotient keeps its own value
-                septic = evaluate(key, EvalContext(self.order, ring))
-                factors.append(septic ** e)
+            elif e > 0:  # a septic quotient keeps its own value: the
+                # letter's at order ceil(order / k), with q^k for q
+                septic = _septic_cached(-(-self.order // key.k), ring.modulus)
+                factors.append(septic[key.letter].substitute_power(
+                    key.k, cap=self.order) ** e)
             elif e:  # and in the denominator is theta(ka, kb) / f_2k
-                k, septic = ((key.k, key.child) if isinstance(key, Subst)
-                             else (1, key))
-                a, b = qfunctions.SEPTIC_THETA[septic.letter]
-                exponents[k * a, k * b] += e
-                exponents[2 * k] -= e
+                a, b = qfunctions.SEPTIC_THETA[key.letter]
+                exponents[key.k * a, key.k * b] += e
+                exponents[2 * key.k] -= e
         return qfunctions.eta_quotient(exponents, n, ring, factors, step, r)
 
 
 def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
-    """Evaluate a Mul/Div/Pow/Neg tree as one record, without recursion,
-    on the context's class.
+    """Evaluate a Mul/Div/Pow/Neg tree, or a lone atom, as one record,
+    without recursion, on the context's class.
 
     Euler products, thetas, septic quotients, integers and q are read
     into the record, and the sign of a negated factor into c; any other
-    subtree is evaluated whole into rest.  Nodes combine in the order a
-    bottom-up evaluation visits them, so the series, its order and any
-    error, with the node it names, are those of evaluating every node
-    whole, in Z and in every Z/m.
+    subtree (a sum, a(q^k)) is evaluated whole into rest.  Nodes combine
+    in the order a bottom-up evaluation visits them, so the series, its
+    order and any error, with the node it names, are those of evaluating
+    every node whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
     whole = ctx.replace(step=1, residue=0)
@@ -631,78 +624,54 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
-    """Evaluate a syntax tree bottom-up at the context's order and ring.
+    """Evaluate a syntax tree at the context's order and ring.
 
-    The result's order can fall below ctx.order when a division cancels a
-    common q-valuation; callers compare series only on the order actually
-    achieved.  With a step above 1 the result is the context's class:
-    the same coefficients, order and errors as evaluate(e, whole context)
-    .extract(step, residue), computing only that class where it can.
+    A sum adds up its terms, walked left to right (:func:`_terms`); a
+    term a(q^k) is built whole, and any other term is read as one record
+    (:func:`_product`).  The result's order can fall below ctx.order
+    when a division cancels a common q-valuation; callers compare series
+    only on the order actually achieved.  With a step above 1 the result
+    is the context's class: the same coefficients, order and errors as
+    evaluate(e, whole context).extract(step, residue), computing only
+    that class where it can.
     """
-    n, ring = ctx.order, ctx.ring
-    if ctx.step > 1:
-        try:
-            return _evaluate_class(e, ctx)
-        except _EmptyClass:
-            # the whole evaluation raises what it would, then extract
-            whole = evaluate(e, ctx.replace(step=1, residue=0))
-            return whole.extract(ctx.step, ctx.residue)
+    n, ring, step, residue = ctx.order, ctx.ring, ctx.step, ctx.residue
+    total = None
     try:
-        if isinstance(e, IntLit):
-            return TruncatedSeries.one(ring, n).scalar_mul(e.value)
-        if isinstance(e, QVar):
-            return TruncatedSeries.monomial(ring, n, 1)
-        if isinstance(e, Euler):
-            return qfunctions.euler_f(e.k, n, ring)
-        if isinstance(e, CubicA):
-            return qfunctions.borwein_a(1, n, ring)
-        if isinstance(e, Septic):
-            a, b, c = _septic_cached(n, ring.modulus)
-            return {"A": a, "B": b, "C": c}[e.letter]
-        if isinstance(e, Theta):
-            return qfunctions.ramanujan_theta((e.a, e.b), n, ring)
-        if isinstance(e, Subst):
-            inner = evaluate(e.child, ctx.replace(order=-(-n // e.k)))
-            return inner.substitute_power(e.k, cap=n)
-        if isinstance(e, (Mul, Div, Pow, Neg)):
-            return _product(e, ctx)
-        if isinstance(e, (Add, Sub)):
-            return _sum(e, lambda term: evaluate(term, ctx))
-    except EvalError:
-        raise
-    except SeriesError as exc:
-        raise EvalError(str(exc), to_text(e)) from exc
-    raise TypeError(f"not a QExpr node: {e!r}")
-
-
-def _sum(e: QExpr, value: Callable[[QExpr], TruncatedSeries]
-         ) -> TruncatedSeries:
-    """A sum of terms evaluated by value: a left-leaning sum is added up
-    along its left spine, so a long flat sum needs no recursion."""
-    spine = _left_spine(e, (Add, Sub))
-    total = value(spine[-1].left)
-    for node in reversed(spine):
-        right = value(node.right)
-        total = total + right if isinstance(node, Add) else total - right
+        for term, minus in _terms(e):
+            try:
+                if isinstance(term, CubicA):
+                    if n <= residue:
+                        raise _EmptyClass
+                    value = qfunctions.borwein_a(term.k, n, ring).extract(
+                        step, residue)
+                elif isinstance(term, _Node):
+                    value = _product(term, ctx)
+                else:
+                    raise TypeError(f"not a QExpr node: {term!r}")
+            except SeriesError as exc:
+                raise EvalError(str(exc), to_text(term)) from exc
+            total = (value if total is None else total - value if minus
+                     else total + value)
+    except _EmptyClass:
+        # the whole evaluation raises what it would, then extract
+        whole = evaluate(e, ctx.replace(step=1, residue=0))
+        return whole.extract(step, residue)
     return total
 
 
-def _evaluate_class(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
-    """The class of evaluate(e): a record shifts its class past q^a and
-    plans it, a sum adds the classes of its terms, and any other node is
-    evaluated whole and extracted.  Raises _EmptyClass for a class with
-    no coefficient."""
-    if isinstance(e, (Add, Sub)):
-        return _sum(e, lambda term: _evaluate_class(term, ctx))
-    if isinstance(e, (Mul, Div, Pow, Neg)):
-        try:
-            return _product(e, ctx)
-        except SeriesError as exc:
-            raise EvalError(str(exc), to_text(e)) from exc
-    whole = evaluate(e, ctx.replace(step=1, residue=0))
-    if whole.order <= ctx.residue:
-        raise _EmptyClass
-    return whole.extract(ctx.step, ctx.residue)
+def _terms(e: QExpr) -> Iterator[tuple[QExpr, bool]]:
+    """The terms of a sum, left to right, each with whether it is
+    subtracted; any other node is its own one term.  A stack stands in
+    for recursion, so a sum of any depth is walked."""
+    stack = [(e, False)]
+    while stack:
+        node, minus = stack.pop()
+        if isinstance(node, (Add, Sub)):
+            stack += ((node.right, minus != isinstance(node, Sub)),
+                      (node.left, minus))
+        else:
+            yield node, minus
 
 
 def evaluate_text(text: str, order: int,

@@ -84,15 +84,22 @@ def test_huge_negative_power_is_squared(capsys):
     assert capsys.readouterr().out.split() == [str(c) for c in binom]
 
 
-@pytest.mark.parametrize("expr", [
-    "(" * 400 + "q" + ")" * 400,
-], ids=["400-nested-parentheses"])
-def test_deeply_nested_expression_exit(capsys, expr):
-    assert main(["expand", "--order", "5", "--", expr]) == EXIT_BAD_INPUT
+@pytest.mark.parametrize("expr, options, message", [
+    ("(" * 400 + "q" + ")" * 400, [], "expression nested too deeply"),
+    # a malformed theta raises as its builder does, at any position and
+    # with any exponent, 0 included
+    ("theta(0,1)", [], "theta exponents must be positive, got (0, 1)"),
+    ("f1/theta(0,3)", ["--mod", "5"],
+     "theta exponents must be positive, got (0, 3)"),
+    ("theta(0,1)^0", [], "theta exponents must be positive, got (0, 1)"),
+], ids=["400-nested-parentheses", "theta-0-1", "divisor-theta-0-3-mod-5",
+        "theta-0-1-to-the-0"])
+def test_deeply_nested_expression_exit(capsys, expr, options, message):
+    argv = ["expand", "--order", "5", *options, "--", expr]
+    assert main(argv) == EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    err = captured.err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ")
+    assert captured.err.splitlines() == [f"error: {message}"]
 
 
 def test_long_flat_sum_expands(capsys):

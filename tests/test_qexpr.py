@@ -23,7 +23,6 @@ from qseries.qexpr import (
     QVar,
     Septic,
     Sub,
-    Subst,
     Theta,
     evaluate,
     evaluate_text,
@@ -106,7 +105,7 @@ class TestParse:
 
     def test_septic_default_argument(self):
         assert parse_expr("A") == Septic("A")
-        assert parse_expr("A(q^7)") == Subst(Septic("A"), 7)
+        assert parse_expr("A(q^7)") == Septic("A", 7)
 
     def test_theta_atom(self):
         assert parse_expr("theta(3,4)") == Theta(3, 4)
@@ -127,7 +126,7 @@ def _random_tree(rng, depth):
     if depth == 0:
         return rng.choice([IntLit(rng.randint(0, 9)), QVar(), Euler(1),
                            Euler(2), Euler(3), CubicA(), Septic("B"),
-                           Theta(2, 5), Subst(CubicA(), 3)])
+                           Theta(2, 5), CubicA(3)])
     kind = rng.randrange(5)
     if kind == 0:
         return Add(_random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
@@ -343,10 +342,10 @@ def _random_leaf(rng):
     return rng.choice([
         Euler(rng.randint(1, 9)), Euler(1), Euler(2),
         Theta(rng.randint(1, 5), rng.randint(1, 5)),
-        Septic(rng.choice("ABC")), Subst(Septic(rng.choice("ABC")), 2),
-        Subst(Septic(rng.choice("ABC")), 3),
+        Septic(rng.choice("ABC")), Septic(rng.choice("ABC"), 2),
+        Septic(rng.choice("ABC"), 3),
         IntLit(rng.choice([0, 1, 1, 2, 3, 5, 6, 10])), QVar(),
-        CubicA(), Subst(CubicA(), 2), Add(IntLit(1), QVar()),
+        CubicA(), CubicA(2), Add(IntLit(1), QVar()),
         Sub(Euler(1), Euler(1))])
 
 
@@ -503,7 +502,9 @@ class TestClassEvaluation:
     @pytest.mark.parametrize("text", [
         "f1^5", "f2*f15/f1^2", "3*q^4*f27*f1^9/theta(3,6)^2",
         "-(q^2*f9^2*A(q^3))/(q*f3)", "f1^3 - f3*a(q^3) + 3*q*f9^3",
-        "a(q^2)*(1+q)*f6"])
+        "a(q^2)*(1+q)*f6",
+        # lone atoms: a one-node record each, or a(q^k) built whole
+        "7", "q", "f3", "theta(2,5)", "a(q^3)", "A", "B(q^7)"])
     def test_named_classes(self, text):
         tree = parse_expr(text)
         for ring in (EXACT, mod_ring(11)):
@@ -511,6 +512,14 @@ class TestClassEvaluation:
             for step, residue in ((3, 0), (3, 2), (9, 4), (27, 12), (7, 6)):
                 ctx = EvalContext(400, ring, step, residue)
                 assert evaluate(tree, ctx) == whole.extract(step, residue)
+
+    @pytest.mark.parametrize("step, residue", [(1, 0), (3, 2)])
+    def test_non_node_raises_type_error(self, step, residue):
+        # no leaf branch is left to reject it, and no walk recurses on it
+        ctx = EvalContext(10, EXACT, step, residue)
+        for tree in (object(), Mul(Euler(1), object())):
+            with pytest.raises(TypeError, match="not a QExpr node"):
+                evaluate(tree, ctx)
 
     @pytest.mark.parametrize("step, residue", [(0, 0), (-2, 0), (3, 3),
                                                (3, -1)])

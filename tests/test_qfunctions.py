@@ -131,7 +131,7 @@ def _whole_quotient(exponents, n, factors, ring=EXACT):
     return whole
 
 
-def _fold_case(rng, m, n):
+def _substitution_case(rng, m, n):
     """Random exponents that put f_ck^(e>0) next to f_k^(e<0), for c a
     multiple or a prime factor of m, and f_k^(e<0) alone, with thetas and
     factors mixed in."""
@@ -167,7 +167,7 @@ def _record_built(monkeypatch):
     return keys
 
 
-class TestFrobeniusFold:
+class TestFrobeniusSubstitution:
     """Over Z/p, p prime, f_k^-e becomes f_k^(cp-e) * f_pk^-c, which
     cancels against a positive power of f_pk, or else is (f_1^-c)(q^pk)
     with f_1^-c planned at order ceil(n / pk); for composite m (4, 6, 9)
@@ -179,7 +179,7 @@ class TestFrobeniusFold:
         built = _record_built(monkeypatch)
         substituted = 0
         for _ in range(25):
-            exponents, factors = _fold_case(rng, m, n)
+            exponents, factors = _substitution_case(rng, m, n)
             want = _whole_quotient(exponents, n, factors)
             if m:
                 want = want.reduce_mod(m)
@@ -221,7 +221,7 @@ class TestFrobeniusFold:
         ({1: -2}, 4, {(1, 200)}),           # 4 is not prime: f_1 / f_1^3
         ({1: -2}, 0, {(1, 200)}),
     ])
-    def test_folds_only_over_a_prime_against_a_negative_power(
+    def test_substitutes_only_over_a_prime_against_a_negative_power(
             self, monkeypatch, exponents, m, built):
         keys = _record_built(monkeypatch)
         want = _whole_quotient(exponents, 200, ())
@@ -304,7 +304,7 @@ class TestClassPlanner:
         m = ring.modulus
         for _ in range(6):
             n = rng.randint(1, 80)
-            exponents, factors = _fold_case(rng, m, n)
+            exponents, factors = _substitution_case(rng, m, n)
             if m:
                 factors = [f.reduce_mod(m) for f in factors]
             whole = eta_quotient(exponents, n, ring, factors)
