@@ -411,11 +411,10 @@ class EvalContext(Record):
     the order (by default all of them).
 
     ``records``, when given, is a memo of planned records, owned by the
-    caller (a verification run): a record with no factor besides its
-    Euler products, thetas and septic quotients is planned once per
-    exponent map, order, ring and class, and read from it after that.
-    Every context derived during the evaluation shares it.  It is neither
-    compared, hashed nor shown.
+    caller (a verification run): a record with no sum among its factors
+    is planned once per exponent map, order, ring and class, and read
+    from it after that.  Every context derived during the evaluation
+    shares it.  It is neither compared, hashed nor shown.
     """
 
     __slots__ = ("order", "ring", "step", "residue", "records")
@@ -454,11 +453,11 @@ def _septic_cached(order: int, modulus: int) -> dict[str, TruncatedSeries]:
                     qfunctions.septic_ABC(order, ring)))
 
 
-def _atom(node: QExpr) -> int | tuple[int, int] | QExpr | None:
-    """The record key of f_k (k), theta(a,b) ((a, b)) or a septic
-    quotient (its node); None for any other node.  A malformed f_k or
-    theta raises here, as its builder does, where the walk meets it: a
-    key with exponent 0 is never built."""
+def _atom(node: QExpr) -> int | tuple[int, int] | QExpr:
+    """The record key of f_k (k), theta(a,b) ((a, b)), a(q^k) or a
+    septic quotient (its node); TypeError for a non-node.  A malformed
+    atom raises ValueError here, as its builder does, where the walk
+    meets it: a key with exponent 0 is never built."""
     if isinstance(node, Euler):
         if node.k < 1:
             qfunctions.euler_f(node.k, 1)
@@ -467,18 +466,26 @@ def _atom(node: QExpr) -> int | tuple[int, int] | QExpr | None:
         if min(node.a, node.b) < 1:
             qfunctions.ramanujan_theta((node.a, node.b), 1)
         return (node.a, node.b)
-    return node if isinstance(node, Septic) else None
+    if not isinstance(node, (CubicA, Septic)):
+        raise TypeError(f"not a QExpr node: {node!r}")
+    if node.k < 1:
+        qfunctions.borwein_a(node.k, 1)
+    if isinstance(node, Septic) and (
+            node.letter not in qfunctions.SEPTIC_THETA):
+        raise ValueError(f"unknown septic quotient {node.letter!r}")
+    return node
 
 
 class _Quotient(Record):
     """The record c * q^a * prod(rest) * prod atom^e, known to an order.
 
-    ``atoms`` maps the key of each Euler product, theta and septic
-    quotient to its signed exponent; ``rest`` holds every other factor.
-    Each atom has constant term 1, so the value has the valuation and
-    lowest coefficient of its plain part c * q^a * prod(rest): dividing
-    by it, or inverting it, fails or shortens the order exactly as for
-    the plain part.  c may be any representative of its residue.
+    ``atoms`` maps the key of each Euler product, theta, cubic theta
+    a(q^k) and septic quotient to its signed exponent; ``rest`` holds
+    the value of each sum among the factors.  Each atom has constant
+    term 1, so the value has the valuation and lowest coefficient of its
+    plain part c * q^a * prod(rest): dividing by it, or inverting it,
+    fails or shortens the order exactly as for the plain part.  c may be
+    any representative of its residue.
     """
 
     __slots__ = ("c", "a", "order", "rest", "atoms")
@@ -564,6 +571,9 @@ class _Quotient(Record):
         for key, e in self.atoms.items():
             if isinstance(key, (int, tuple)):
                 exponents[key] += e
+            elif isinstance(key, CubicA):  # a numerator factor, e any sign
+                factors.append(qfunctions.borwein_a(key.k, self.order,
+                                                    ring) ** e)
             elif e > 0:  # a septic quotient keeps its own value: the
                 # letter's at order ceil(order / k), with q^k for q
                 septic = _septic_cached(-(-self.order // key.k), ring.modulus)
@@ -580,12 +590,12 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
     """Evaluate a Mul/Div/Pow/Neg tree, or a lone atom, as one record,
     without recursion, on the context's class.
 
-    Euler products, thetas, septic quotients, integers and q are read
-    into the record, and the sign of a negated factor into c; any other
-    subtree (a sum, a(q^k)) is evaluated whole into rest.  Nodes combine
-    in the order a bottom-up evaluation visits them, so the series, its
-    order and any error, with the node it names, are those of evaluating
-    every node whole, in Z and in every Z/m.
+    Euler products, thetas, a(q^k), septic quotients, integers and q
+    are read into the record, and the sign of a negated factor into c; a
+    sum is evaluated whole into rest.  Nodes combine in the order a
+    bottom-up evaluation visits them, so the series, its order and any
+    error, with the node it names, are those of evaluating every node
+    whole, in Z and in every Z/m.
     """
     n, ring = ctx.order, ctx.ring
     whole = ctx.replace(step=1, residue=0)
@@ -615,40 +625,30 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
         elif isinstance(node, (IntLit, QVar)):
             values.append(_Quotient(1, 1, n) if isinstance(node, QVar)
                           else _Quotient(node.value, 0, n))
+        elif isinstance(node, (Add, Sub)):
+            values.append(_Quotient(1, 0, n, (evaluate(node, whole),)))
         else:
-            key = _atom(node)
-            values.append(_Quotient(1, 0, n, (evaluate(node, whole),))
-                          if key is None
-                          else _Quotient(1, 0, n, atoms={key: 1}))
+            values.append(_Quotient(1, 0, n, atoms={_atom(node): 1}))
     return values[0].series(ring, ctx.step, ctx.residue, ctx.records)
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
     """Evaluate a syntax tree at the context's order and ring.
 
-    A sum adds up its terms, walked left to right (:func:`_terms`); a
-    term a(q^k) is built whole, and any other term is read as one record
-    (:func:`_product`).  The result's order can fall below ctx.order
-    when a division cancels a common q-valuation; callers compare series
-    only on the order actually achieved.  With a step above 1 the result
-    is the context's class: the same coefficients, order and errors as
-    evaluate(e, whole context).extract(step, residue), computing only
-    that class where it can.
+    A sum adds up its terms, walked left to right (:func:`_terms`), and
+    each term is read as one record (:func:`_product`).  The result's
+    order can fall below ctx.order when a division cancels a common
+    q-valuation; callers compare series only on the order actually
+    achieved.  With a step above 1 the result is the context's class:
+    the same coefficients, order and errors as evaluate(e, whole
+    context).extract(step, residue), computing only that class where it
+    can.
     """
-    n, ring, step, residue = ctx.order, ctx.ring, ctx.step, ctx.residue
     total = None
     try:
         for term, minus in _terms(e):
             try:
-                if isinstance(term, CubicA):
-                    if n <= residue:
-                        raise _EmptyClass
-                    value = qfunctions.borwein_a(term.k, n, ring).extract(
-                        step, residue)
-                elif isinstance(term, _Node):
-                    value = _product(term, ctx)
-                else:
-                    raise TypeError(f"not a QExpr node: {term!r}")
+                value = _product(term, ctx)
             except SeriesError as exc:
                 raise EvalError(str(exc), to_text(term)) from exc
             total = (value if total is None else total - value if minus
@@ -656,7 +656,7 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
     except _EmptyClass:
         # the whole evaluation raises what it would, then extract
         whole = evaluate(e, ctx.replace(step=1, residue=0))
-        return whole.extract(step, residue)
+        return whole.extract(ctx.step, ctx.residue)
     return total
 
 

@@ -233,7 +233,9 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
 
     ``exponents`` maps k to the signed exponent of the Euler product f_k
     and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
-    numerator series, each known at least to ``order``.
+    numerator series, each known at least to ``order``.  A key below 1,
+    or a theta exponent below 1, with a nonzero exponent raises its
+    builder's ValueError.
 
     Over Z/p with p prime, f_pk = f_k^p (mod p), since (1 - x)^p =
     1 - x^p there, and a positive power costs multiplications where a
@@ -283,6 +285,12 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     """
     p = ring.modulus
     exponents = dict(exponents)
+    for key, e in exponents.items():
+        # before the rewrites, which can cancel a bad key's exponent
+        if e and isinstance(key, tuple) and min(key) < 1:
+            ramanujan_theta(key, 1)
+        elif e and not isinstance(key, tuple) and key < 1:
+            euler_f(key, 1)
     euler = sorted(k for k in exponents if not isinstance(k, tuple))
     subs: dict[int, int] = {}  # j: c, for f_j^-c = (f_1^-c)(q^j)
     if (p and any(exponents[k] < 0 for k in euler)

@@ -502,8 +502,9 @@ class TestClassEvaluation:
     @pytest.mark.parametrize("text", [
         "f1^5", "f2*f15/f1^2", "3*q^4*f27*f1^9/theta(3,6)^2",
         "-(q^2*f9^2*A(q^3))/(q*f3)", "f1^3 - f3*a(q^3) + 3*q*f9^3",
-        "a(q^2)*(1+q)*f6",
-        # lone atoms: a one-node record each, or a(q^k) built whole
+        "a(q^2)*(1+q)*f6", "a(q)*f1", "a(q^3)^2/f3", "q*a(q)-f1^3",
+        "a(q)^-1",
+        # lone atoms: a one-node record each
         "7", "q", "f3", "theta(2,5)", "a(q^3)", "A", "B(q^7)"])
     def test_named_classes(self, text):
         tree = parse_expr(text)
@@ -514,11 +515,19 @@ class TestClassEvaluation:
                 assert evaluate(tree, ctx) == whole.extract(step, residue)
 
     @pytest.mark.parametrize("step, residue", [(1, 0), (3, 2)])
-    def test_non_node_raises_type_error(self, step, residue):
-        # no leaf branch is left to reject it, and no walk recurses on it
+    @pytest.mark.parametrize("leaf, error, match", [
+        (object(), TypeError, "not a QExpr node"),
+        (Septic("A", 0), ValueError, "argument power must be positive"),
+        (Septic("D"), ValueError, "unknown septic quotient 'D'"),
+        (CubicA(0), ValueError, "argument power must be positive")],
+        ids=["object", "A(q^0)", "D", "a(q^0)"])
+    def test_non_node_or_malformed_leaf_raises(self, leaf, error, match,
+                                               step, residue):
+        # the walk rejects a non-node or a malformed leaf where it meets
+        # it, even raised to the power 0, and never recurses on it
         ctx = EvalContext(10, EXACT, step, residue)
-        for tree in (object(), Mul(Euler(1), object())):
-            with pytest.raises(TypeError, match="not a QExpr node"):
+        for tree in (leaf, Mul(Euler(1), leaf), Pow(leaf, 0)):
+            with pytest.raises(error, match=match):
                 evaluate(tree, ctx)
 
     @pytest.mark.parametrize("step, residue", [(0, 0), (-2, 0), (3, 3),

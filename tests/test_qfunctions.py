@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -115,6 +116,18 @@ class TestDivideEulerPower:
     def test_zero_exponents_build_nothing(self):
         # theta(0, 1) would raise if it were built
         assert eta_quotient({(0, 1): 0, 1: 0}, 5) == TruncatedSeries.one(EXACT, 5)
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(2), mod_ring(4),
+                                      mod_ring(5)], ids=str)
+    @pytest.mark.parametrize("key", [0, -3, (0, 3)], ids=str)
+    def test_malformed_key_raises_before_the_rewrites(self, ring, key):
+        # over Z/p, f_0^-1 would become f_0^(p-1) / f_0 and cancel
+        builder = ramanujan_theta if isinstance(key, tuple) else euler_f
+        with pytest.raises(ValueError) as want:
+            builder(key, 1)
+        for e in (-5, -2, -1, 1):
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                eta_quotient({key: e, 1: 1}, 5, ring)
 
 
 def _whole_quotient(exponents, n, factors, ring=EXACT):

@@ -409,9 +409,11 @@ class TestRunRegistry:
 
 @pytest.fixture
 def plans(monkeypatch):
-    """The planner's inputs for every record with no rest factor that a
-    syntax-tree record asks the planner for; the planner's own inner
-    calls and those of septic_ABC are not counted."""
+    """The atoms, order, ring and class of every record with no rest
+    factor that a syntax-tree record asks the planner for; the planner's
+    own inner calls and those of septic_ABC are not counted.  The atoms
+    are the record's own: the planner's exponents omit its factors, such
+    as a(q) and a(q^3)."""
     keys = []
     eta_quotient = qfunctions.eta_quotient
     record_plan = qexpr._Quotient._plan.__code__
@@ -420,7 +422,8 @@ def plans(monkeypatch):
         caller = sys._getframe(1)
         if (caller.f_code is record_plan
                 and not caller.f_locals["self"].rest):
-            keys.append((frozenset((k, e) for k, e in exponents.items() if e),
+            atoms = caller.f_locals["self"].atoms
+            keys.append((frozenset((k, e) for k, e in atoms.items() if e),
                          order, ring, step, residue))
         return eta_quotient(exponents, order, ring, factors, step, residue)
 
