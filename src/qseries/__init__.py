@@ -26,7 +26,6 @@ from .series import (
     mod_ring,
 )
 from .qfunctions import (
-    ThetaSpec,
     bipartition_series,
     borwein_a,
     euler_f,
@@ -56,7 +55,6 @@ from .verify import (
     RegistryItem,
     RegistryRun,
     VerificationReport,
-    registry_ids,
     run_check,
     run_item,
     run_pipeline,
@@ -68,13 +66,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CoefficientRing", "EXACT", "mod_ring", "TruncatedSeries",
     "SeriesError", "RingMismatchError", "NonUnitError", "ValuationError",
-    "ThetaSpec", "euler_f", "pk_series", "ramanujan_theta", "septic_ABC",
+    "euler_f", "pk_series", "ramanujan_theta", "septic_ABC",
     "borwein_a", "regular_series", "bipartition_series",
     "EvalContext", "EvalError", "QSyntaxError", "tokenize", "parse",
     "parse_expr", "to_text", "evaluate", "evaluate_text",
     "DissectionPipeline", "IdentityCheck", "CongruenceCheck",
     "BinomialCheck", "Families", "RegistryItem", "RegistryRun",
-    "VerificationReport", "REGISTRY", "registry_ids", "run_check",
+    "VerificationReport", "REGISTRY", "run_check",
     "run_pipeline", "run_item", "run_registry",
     "__version__",
 ]

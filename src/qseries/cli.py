@@ -177,6 +177,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 if not isinstance(check, CongruenceCheck)), default=0)
     if need > sys.maxsize:
         raise OverflowError(f"series order {need} is past the index range")
+    # scans read only --count; every other item reads only --order
+    for flag, value, scans_read in (("--order", args.order, False),
+                                    ("--count", args.count, True)):
+        ignored_by = sum((item.kind == "scan") != scans_read for item in items)
+        if value is not None and ignored_by:
+            print(f"warning: {flag} {value} is ignored by {ignored_by} of "
+                  f"{len(items)} selected items: only "
+                  f"{'scans' if scans_read else 'non-scan items'} read it",
+                  file=sys.stderr)
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
     passed = 0

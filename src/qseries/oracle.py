@@ -4,14 +4,13 @@ Every function here counts or enumerates directly, without series
 inversion or any shortcut shared with the main pipeline, so a bug in the
 fast path cannot hide: partition counts come from part-by-part dynamic
 programs that only ever add, and the product/lattice/bilateral oracles
-evaluate their defining sums literally.
+evaluate their defining sums literally. It imports nothing from the
+package and returns plain integer lists over Z.
 """
 
 from __future__ import annotations
 
 from math import isqrt
-
-from .series import EXACT, CoefficientRing, TruncatedSeries
 
 
 def count_partitions(bound: int) -> list[int]:
@@ -50,11 +49,12 @@ def count_bipartitions(s: int, t: int, bound: int) -> list[int]:
     return [sum(bs[k] * bt[n - k] for k in range(n + 1)) for n in range(bound)]
 
 
-def naive_euler(k: int, bound: int,
-                ring: CoefficientRing = EXACT) -> TruncatedSeries:
+def naive_euler(k: int, bound: int) -> list[int]:
     """(q^k;q^k)_inf by literally multiplying out the factors (1 - q^{mk})."""
     if k < 1:
         raise ValueError(f"Euler product index must be positive, got {k}")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     coeffs = [0] * bound
     coeffs[0] = 1
     m = 1
@@ -63,7 +63,7 @@ def naive_euler(k: int, bound: int,
         for n in range(bound - 1, step - 1, -1):
             coeffs[n] -= coeffs[n - step]
         m += 1
-    return TruncatedSeries(ring, coeffs)
+    return coeffs
 
 
 def lattice_a(bound: int) -> list[int]:
@@ -96,15 +96,16 @@ def divisor_count_difference(n: int) -> int:
     return diff
 
 
-def bilateral_theta(a: int, b: int, bound: int,
-                    ring: CoefficientRing = EXACT) -> TruncatedSeries:
+def bilateral_theta(a: int, b: int, bound: int) -> list[int]:
     """f(-q^a,-q^b) by summing the bilateral series over a wide index range."""
     if a < 1 or b < 1:
         raise ValueError("theta exponents must be positive")
+    if bound < 1:
+        raise ValueError("bound must be positive")
     coeffs = [0] * bound
     rng = isqrt(2 * bound) + 2  # exponent grows at least like n(n-1)/2
     for n in range(-rng, rng + 1):
         e = a * n * (n + 1) // 2 + b * n * (n - 1) // 2
         if 0 <= e < bound:
             coeffs[e] += -1 if n & 1 else 1
-    return TruncatedSeries(ring, coeffs)
+    return coeffs

@@ -25,16 +25,9 @@ from functools import partial
 from itertools import groupby
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .series import EXACT, CoefficientRing, TruncatedSeries, _quotient_packed
-
-
-class ThetaSpec(NamedTuple):
-    """Exponent pair (a, b) of a theta series f(-q^a, -q^b)."""
-
-    a: int
-    b: int
 
 
 def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
@@ -77,7 +70,7 @@ def pk_series(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSer
     return eta_quotient({1: k}, order, ring)
 
 
-def ramanujan_theta(spec: ThetaSpec | tuple[int, int], order: int,
+def ramanujan_theta(spec: tuple[int, int], order: int,
                     ring: CoefficientRing = EXACT) -> TruncatedSeries:
     """The theta series f(-q^a, -q^b) = sum_n (-1)^n q^{a n(n+1)/2 + b n(n-1)/2}.
 

@@ -241,9 +241,9 @@ class Families:
             series = self._built[key] = family_series(*key, order, step,
                                                       residue)
         # a slice, not extract(): an offset may exceed its step here
-        return [TruncatedSeries(series.ring,
-                                series.coeffs[(b - residue) // step::a // step]
-                                [:count])
+        return [TruncatedSeries._of_residues(
+                    series.ring,
+                    series.coeffs[(b - residue) // step::a // step][:count])
                 for a, b in progressions]
 
 
@@ -637,10 +637,6 @@ def _build_registry() -> dict[str, RegistryItem]:
 
 
 REGISTRY: dict[str, RegistryItem] = _build_registry()
-
-
-def registry_ids() -> list[str]:
-    return sorted(REGISTRY)
 
 
 def select_items(filter_text: str | None) -> list[RegistryItem]:

@@ -206,6 +206,23 @@ class TestVerify:
         assert lines[0] == "id,status,order,millis,mismatch_index"
         assert lines[1].startswith("eq-2k,pass,50,")
 
+    @pytest.mark.parametrize("argv,ignored", [
+        (["--filter", "thm-y", "--order", "50"], ["--order 50"]),
+        (["--filter", "eq-4w", "--count", "50"], ["--count 50"]),
+        (["--filter", "b215", "--order", "60", "--count", "30"],
+         ["--order 60", "--count 30"]),
+        (["--filter", "eq-j1", "--order", "50"], []),
+    ])
+    def test_ignored_options_warn(self, capsys, argv, ignored):
+        # scans read only --count, every other item only --order
+        assert main(["verify", *argv]) == EXIT_OK
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == len(ignored)
+        for line, option in zip(err, ignored):
+            assert line.startswith(f"warning: {option} is ignored by ")
+        assert "items passed" in captured.out
+
     def test_chain_item_passes(self, capsys):
         assert main(["verify", "--filter", "b711-chain-11",
                      "--order", "60"]) == EXIT_OK

@@ -1,5 +1,8 @@
+import ast
+
 import pytest
 
+from qseries import oracle
 from qseries.oracle import (
     bilateral_theta,
     count_bipartitions,
@@ -118,7 +121,7 @@ class TestCountBipartitions:
 
 class TestBruteForceSeries:
     def test_naive_euler_matches(self):
-        assert naive_euler(1, 13) == euler_f(1, 13)
+        assert naive_euler(1, 13) == list(euler_f(1, 13).coeffs)
 
     def test_lattice_prefix(self):
         assert lattice_a(8) == [1, 6, 0, 6, 6, 0, 0, 12]
@@ -127,4 +130,28 @@ class TestBruteForceSeries:
         assert lattice_a(150) == list(borwein_a(1, 150).coeffs)
 
     def test_bilateral_matches_theta(self):
-        assert bilateral_theta(2, 5, 8) == ramanujan_theta((2, 5), 8)
+        assert bilateral_theta(2, 5, 8) == list(ramanujan_theta((2, 5), 8).coeffs)
+
+    def test_validation(self):
+        for bad in (lambda: naive_euler(1, 0), lambda: naive_euler(0, 5),
+                    lambda: bilateral_theta(1, 2, 0),
+                    lambda: bilateral_theta(0, 2, 5)):
+            with pytest.raises(ValueError):
+                bad()
+
+
+def test_oracle_imports_nothing_from_the_package():
+    # the oracle is ground truth only while it shares no code with the fast path
+    with open(oracle.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    shared = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if not node.level else ["."]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        shared += [name for name in names
+                   if name == "." or name.split(".")[0] == "qseries"]
+    assert not shared, shared

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -34,7 +35,7 @@ class TestEulerF:
 
     def test_against_naive_product(self):
         for k in range(1, 51):
-            assert euler_f(k, 500) == naive_euler(k, 500), k
+            assert list(euler_f(k, 500).coeffs) == naive_euler(k, 500), k
 
     def test_index_scaling(self):
         for k in (2, 3, 7, 49):
@@ -468,6 +469,16 @@ class TestPackedDivision:
                        for i, c in enumerate(p_a.coeffs)), a
             p_a = p_a * p
 
+    def test_partition_bits_cover_the_analytic_bound(self):
+        # the docstring's bound p_a(m) < 2**(pi*sqrt(2am/3)/ln 2), in bits,
+        # at every power of ten up to 10^6 and the colour counts the
+        # registry's quotients reach
+        for a in (1, 2, 3, 4, 6, 12, 24):
+            for m in (10 ** i for i in range(7)):
+                bound = math.ceil(math.pi * math.sqrt(2 * a * m / 3)
+                                  / math.log(2))
+                assert qfunctions._partition_bits(a, m) >= bound, (a, m)
+
     @pytest.mark.parametrize("exponents,k,n,colours", [
         ({2: -1}, 2, 6, 1),       # f_2: 100 + 100 q^2 + 200 q^4
         ({(3, 3): -1}, 3, 6, 2),  # theta(3, 3): 100 + 200 q^3
@@ -503,7 +514,8 @@ class TestRamanujanTheta:
 
     def test_against_bilateral_oracle(self):
         for spec in ((1, 6), (2, 5), (3, 4), (1, 1), (2, 2), (5, 9)):
-            assert ramanujan_theta(spec, 150) == bilateral_theta(*spec, 150)
+            assert (list(ramanujan_theta(spec, 150).coeffs)
+                    == bilateral_theta(*spec, 150))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -166,7 +166,7 @@ class TestAdd:
 
     def test_pentagonal_terms_drop(self):
         # adding q + q^2 to f_1 cancels the two lowest pentagonal terms
-        f1 = naive_euler(1, 5)
+        f1 = TruncatedSeries(EXACT, naive_euler(1, 5))
         bump = S(0, 1, 1, 0, 0)
         assert (f1 + bump).coeffs == (1, 0, 0, 0, 0)
 
@@ -188,11 +188,12 @@ class TestMul:
 
     def test_square_of_euler_prefix(self):
         # oracle: square the pentagonal expansion by direct convolution
-        a = naive_euler(1, 5).coeffs
+        a = naive_euler(1, 5)
         expected = tuple(sum(a[j] * a[n - j] for j in range(n + 1))
                          for n in range(5))
         assert expected == (1, -2, -1, 2, 1)
-        assert (naive_euler(1, 5) * naive_euler(1, 5)).coeffs == expected
+        f1 = TruncatedSeries(EXACT, naive_euler(1, 5))
+        assert (f1 * f1).coeffs == expected
 
     def test_scalar_forms(self):
         assert (3 * S(1, 2)).coeffs == (3, 6)
@@ -205,7 +206,7 @@ class TestPower:
 
     def test_fourth_power_of_euler(self):
         # oracle: repeated convolution of the naive product expansion
-        f1 = naive_euler(1, 5)
+        f1 = TruncatedSeries(EXACT, naive_euler(1, 5))
         expected = f1 * f1 * f1 * f1
         assert expected.coeffs == (1, -4, 2, 8, -5)
         assert (euler_f(1, 5) ** 4) == expected
@@ -506,7 +507,7 @@ class TestMulKernel:
         monkeypatch.setattr(series, "_mul_coeffs", no_kernel)
         assert oracle.count_partitions(10)[-1] == 30
         assert oracle.count_bipartitions(2, 15, 40) \
-            and oracle.naive_euler(1, 40).coeffs[:3] == (1, -1, -1)
+            and oracle.naive_euler(1, 40)[:3] == [1, -1, -1]
 
 
 def _outcome(compute):

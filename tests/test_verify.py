@@ -19,7 +19,6 @@ from qseries.verify import (
     DissectionPipeline,
     Families,
     IdentityCheck,
-    registry_ids,
     run_check,
     run_item,
     run_pipeline,
@@ -42,7 +41,7 @@ EXPECTED_IDS = sorted(
 
 class TestRegistryShape:
     def test_completeness(self):
-        assert registry_ids() == EXPECTED_IDS
+        assert sorted(REGISTRY) == EXPECTED_IDS
 
     def test_every_item_has_description_and_tag(self):
         for item in REGISTRY.values():
