@@ -67,6 +67,7 @@ class Token(NamedTuple):
 
 _NAMES = {"a", "A", "B", "C", "q", "theta"}
 _OPS = set("+-*/^(),")
+_DIGITS = frozenset("0123456789")  # str.isdigit is true for '²' and '٣' too
 
 
 def tokenize(text: str) -> list[Token]:
@@ -78,16 +79,16 @@ def tokenize(text: str) -> list[Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("INT", text[i:j], int(text[i:j]), i))
             i = j
             continue
-        if ch == "f" and i + 1 < n and text[i + 1].isdigit():
+        if ch == "f" and i + 1 < n and text[i + 1] in _DIGITS:
             j = i + 1
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(Token("EULER", text[i:j], int(text[i + 1:j]), i))
             i = j

@@ -239,8 +239,8 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     f_1^9 mod 11); otherwise it is (f_1^-c)(q^pk), with f_1^-c planned
     by this function at order ceil(order / pk), where the same rule
     applies again, and multiplied in class by class
-    (:meth:`TruncatedSeries.mul_substituted`); from pk >= order on it is
-    1 and dropped.  So no Euler product is divided out over Z/p:
+    (:meth:`TruncatedSeries.mul`); from pk >= order on it is 1 and
+    dropped.  So no Euler product is divided out over Z/p:
     B_{2,15} = f_2 f_15 / f_1^2 becomes f_2 f_15 f_1^3 (1/f_1)(q^5) mod
     5, and 1/f_1 at order N is f_1^4 (1/f_1)(q^5) at order N/5, and so
     on down.  For composite m the congruence fails (mod 4, f_1^4 = 1 +
@@ -274,7 +274,7 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     and times the class of the rest.  In the rest only the last product
     is restricted to the class: the one by its last substituted f_pk^-c,
     or else, after the divisions, the one by its densest numerator
-    factor, held back until then (:meth:`TruncatedSeries.mul_extract`).
+    factor, held back until then (:meth:`TruncatedSeries.mul`).
     """
     p = ring.modulus
     exponents = dict(exponents)
@@ -393,7 +393,7 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
                 result = result.divide(divisor)
     for i, (j, c) in enumerate(substituted, 1):
         inner = eta_quotient({1: -c}, -(-order // j), ring)
-        result = result.mul_substituted(
+        result = result.mul(
             inner, j, *((step, residue) if i == len(substituted) else (1, 0)))
     if step == 1 or substituted:
         return result
@@ -401,4 +401,4 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
         return result.extract(step, residue)
     _, build, power = last
     factor = held if held is not None else build()
-    return result.mul_extract(factor ** power, step, residue)
+    return result.mul(factor ** power, 1, step, residue)

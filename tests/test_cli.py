@@ -92,8 +92,13 @@ def test_huge_negative_power_is_squared(capsys):
     ("f1/theta(0,3)", ["--mod", "5"],
      "theta exponents must be positive, got (0, 3)"),
     ("theta(0,1)^0", [], "theta exponents must be positive, got (0, 1)"),
+    # only ASCII digits are digits: '²' and '٣' are str.isdigit too
+    ("f²", [], "unknown identifier 'f' (at position 0)"),
+    ("٣*f1", [], "illegal character '٣' (at position 0)"),
+    ("theta(١,2)", [], "illegal character '١' (at position 6)"),
 ], ids=["400-nested-parentheses", "theta-0-1", "divisor-theta-0-3-mod-5",
-        "theta-0-1-to-the-0"])
+        "theta-0-1-to-the-0", "f-superscript-2", "arabic-indic-3",
+        "theta-arabic-indic-1"])
 def test_deeply_nested_expression_exit(capsys, expr, options, message):
     argv = ["expand", "--order", "5", *options, "--", expr]
     assert main(argv) == EXIT_BAD_INPUT

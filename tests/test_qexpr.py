@@ -65,6 +65,21 @@ class TestTokenize:
         with pytest.raises(QSyntaxError):
             tokenize("f1 + zeta")
 
+    @pytest.mark.parametrize("text, message, pos", [
+        ("f²", "unknown identifier 'f'", 0),
+        ("٣*f1", "illegal character '٣'", 0),
+        ("theta(١,2)", "illegal character '١'", 6),
+        ("f1²", "illegal character '²'", 2),
+    ], ids=["f-superscript-2", "arabic-indic-3", "theta-arabic-indic-1",
+            "f1-superscript-2"])
+    def test_only_ascii_digits_are_digits(self, text, message, pos):
+        # str.isdigit is true for these; int() rejects '²' and reads
+        # '٣' as 3, so neither may reach it
+        with pytest.raises(QSyntaxError) as err:
+            parse_expr(text)
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.pos == pos
+
 
 class TestParse:
     def test_three_term_sum(self):

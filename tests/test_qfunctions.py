@@ -488,7 +488,7 @@ class TestPackedDivision:
                                      colours):
         # cases at the limit: 100 fits the slots one byte narrower, the
         # quotient does not, so it must come out wrong there
-        num = TruncatedSeries.monomial(EXACT, n, 0, 100)
+        num = TruncatedSeries(EXACT, [100] + [0] * (n - 1))
         want = _divided_one_at_a_time(exponents, n, num)
         calls = _packed_calls(monkeypatch)
         assert eta_quotient(exponents, n, EXACT, [num]) == want
@@ -567,7 +567,7 @@ class TestSepticABC:
         a, b, c = septic_ABC(n)
         lhs = (b ** 5 / (a * c ** 4) - a ** 5 / (b ** 4 * c)
                - (c ** 5 / (a ** 4 * b)).shift(3, cap=n))
-        assert lhs == TruncatedSeries.monomial(EXACT, n, 1, 3)
+        assert lhs == TruncatedSeries(EXACT, [0, 3] + [0] * (n - 2))
 
     def test_degree_seven_combination(self):
         # B^7/C^7 - q A^7/B^7 + q^5 C^7/A^7 = 14q f1^4/f7^4 + f1^8/f7^8 + 57q^2
@@ -578,7 +578,7 @@ class TestSepticABC:
         f1, f7 = euler_f(1, n), euler_f(7, n)
         rhs = ((f1 ** 4 / f7 ** 4).shift(1, cap=n).scalar_mul(14)
                + f1 ** 8 / f7 ** 8
-               + TruncatedSeries.monomial(EXACT, n, 2, 57))
+               + TruncatedSeries(EXACT, [0, 0, 57] + [0] * (n - 3)))
         assert lhs == rhs
 
     def test_seven_dissection_of_euler(self):
@@ -590,7 +590,7 @@ class TestSepticABC:
         b7 = b.substitute_power(7).truncate(n)
         c7 = c.substitute_power(7).truncate(n)
         bracket = (b7 / c7 - (a7 / b7).shift(1, cap=n)
-                   - TruncatedSeries.monomial(EXACT, n, 2)
+                   - TruncatedSeries(EXACT, [0, 0, 1] + [0] * (n - 3))
                    + (c7 / a7).shift(5, cap=n))
         assert euler_f(49, n) * bracket == euler_f(1, n)
 

@@ -257,6 +257,30 @@ class TestPower:
         assert picked["cube", 3] and picked["cube", 5]
         assert not picked["dense", 5] and not picked["dense", 6]
 
+    @pytest.mark.parametrize("atom, n, p, e, by_base", [
+        (euler_f, 600, 17, 17, False), (euler_f, 500, 13, 13, False),
+        (euler_f, 500, 17, 17, False), (euler_cube, 97159, 11, 6, True),
+    ], ids=["f1^17-600", "f1^13-500", "f1^17-500", "cube^6-97159"])
+    def test_power_route_counts_each_products_cost(self, monkeypatch, atom,
+                                                   n, p, e, by_base):
+        # Each product also costs its call and the reduction of what it
+        # keeps, once per product: f_1^p in Z/p (the binomial item's
+        # powers) squares, where e - 1 products by f_1 took two to three
+        # times as long; Jacobi's cube^6 at N = 97,159 still takes its 5
+        # products by the cube, six times faster than squaring.
+        products = []
+        real = TruncatedSeries.__mul__
+        monkeypatch.setattr(TruncatedSeries, "__mul__", lambda x, y:
+                            products.append((x, y)) or real(x, y))
+        base = atom(1, n, mod_ring(p))
+        base ** e
+        if by_base:
+            assert len(products) == e - 1
+            assert all(base in pair for pair in products)
+        else:
+            assert len(products) == e.bit_length() + bin(e).count("1") - 1
+            assert not all(base in pair for pair in products)
+
     @pytest.mark.parametrize("ring, e, recurrences",
                              [(EXACT, -12, 12), (mod_ring(11), -12, 1),
                               (EXACT, -200, 1)], ids=str)
@@ -454,7 +478,7 @@ class TestMulKernel:
                                 taken.append(name) or real(*args))
         ring = mod_ring(11)
         dense = random_series(random.Random(3), ring, order=600)
-        monomial = TruncatedSeries.monomial(ring, 600, 5, 3)
+        monomial = TruncatedSeries(ring, [0] * 5 + [3] + [0] * 594)
         f5, f7 = euler_f(5, 600, ring), euler_f(7, 600, ring)
         for x, y, path in ((dense, dense, "_mul_kronecker"),
                            (monomial, dense, "_mul_shift"),
@@ -466,7 +490,7 @@ class TestMulKernel:
             assert taken == [path]
 
     def test_one_class_on_each_path(self, monkeypatch):
-        # mul_extract computes only the class on the shift path, and the
+        # mul computes only the class on the shift path, and the
         # whole product, then the class, on the other two
         taken, seen = [], set()
         for name in ("_mul_sparse", "_mul_kronecker", "_mul_shift"):
@@ -476,7 +500,7 @@ class TestMulKernel:
                                 taken.append(name) or real(*args))
         for ring in (EXACT, mod_ring(11)):
             dense = random_series(random.Random(5), ring, order=600)
-            monomial = TruncatedSeries.monomial(ring, 600, 5, 3)
+            monomial = TruncatedSeries(ring, [0] * 5 + [3] + [0] * 594)
             f5, f7 = euler_f(5, 600, ring), euler_f(7, 600, ring)
             for x, y in ((dense, dense), (monomial, dense), (dense, f7),
                          (f5, f7), (f7, dense.truncate(599))):
@@ -484,7 +508,7 @@ class TestMulKernel:
                 for p, r in ((1, 0), (2, 1), (27, 12), (599, 598), (600, 0),
                              (1000, 598)):
                     taken.clear()
-                    assert x.mul_extract(y, p, r) == whole.extract(p, r)
+                    assert x.mul(y, 1, p, r) == whole.extract(p, r)
                     assert len(taken) == 1
                     seen.update(taken)
         assert seen == {"_mul_sparse", "_mul_kronecker", "_mul_shift"}
@@ -496,9 +520,9 @@ class TestMulKernel:
         with pytest.raises((ValueError, ValuationError)) as want:
             (x * y).extract(p, r)
         with pytest.raises(want.type, match=f"^{re.escape(str(want.value))}$"):
-            x.mul_extract(y, p, r)
+            x.mul(y, 1, p, r)
         with pytest.raises(RingMismatchError):
-            x.mul_extract(S(1, 1), 1, 0)
+            x.mul(S(1, 1))
 
     def test_oracle_needs_no_kernel(self, monkeypatch):
         def no_kernel(*args):
@@ -683,15 +707,15 @@ class TestMulSubstituted:
             b = random_series(rng, ring, order=rng.randint(1, 12))
             k, p = rng.randint(1, 9), rng.randint(1, 8)
             r = rng.randrange(p)
-            assert _outcome(lambda: a.mul_substituted(b, k, p, r)) == \
+            assert _outcome(lambda: a.mul(b, k, p, r)) == \
                 _outcome(lambda: (a * b.substitute_power(k)).extract(p, r)), \
                 (a, b, k, p, r)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            S(1, 2).mul_substituted(S(1), 0)
+            S(1, 2).mul(S(1), 0)
         with pytest.raises(RingMismatchError):
-            S(1, 2).mul_substituted(S(1, ring=mod_ring(5)), 2)
+            S(1, 2).mul(S(1, ring=mod_ring(5)), 2)
 
 
 class TestInvert:
