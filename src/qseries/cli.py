@@ -13,6 +13,8 @@ unknown registry filter, 4 over budget: a scan past SCAN_ORDER_CAP, or
 an order too large to allocate or to index.  The environment
 variable QSERIES_DEFAULT_ORDER overrides the built-in default order of
 500; a value that is not a positive integer is ignored with a warning.
+Every integer, in an option, a positional or that variable, is read by
+:func:`integer`: ASCII digits with an optional sign.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
@@ -42,12 +45,21 @@ EXIT_UNKNOWN_FILTER = 3
 EXIT_SCAN_BUDGET = 4
 
 
+def integer(text: str) -> int:
+    """An integer of the command line: ASCII digits with an optional
+    sign.  int() alone would also read other Unicode digits ('٣'),
+    spaces around the digits (' 5') and underscores ('1_0')."""
+    if not re.fullmatch(r"[+-]?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def default_order() -> int:
     raw = os.environ.get("QSERIES_DEFAULT_ORDER")
     if raw is None:
         return 500
     try:
-        value = int(raw)
+        value = integer(raw)
     except ValueError:
         value = 0
     if value < 1:
@@ -85,10 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser(
         "expand", help="print the coefficient prefix of an expression")
     p_expand.add_argument("expr", help="expression text, e.g. 'f2*f15/f1^2'")
-    p_expand.add_argument("--order", type=int, default=None,
+    p_expand.add_argument("--order", type=integer, default=None,
                           help="number of coefficients (default 500, or "
                                "QSERIES_DEFAULT_ORDER)")
-    p_expand.add_argument("--mod", type=int, default=None,
+    p_expand.add_argument("--mod", type=integer, default=None,
                           help="reduce coefficients modulo this value")
     p_expand.add_argument("--format", choices=("table", "json", "csv"),
                           default="table")
@@ -98,21 +110,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--filter", default=None,
                           help="registry id, id prefix, or tag "
                                "(e.g. 'b215', 'lemmas', 'eq-j1')")
-    p_verify.add_argument("--order", type=int, default=None,
+    p_verify.add_argument("--order", type=integer, default=None,
                           help="override each item's default check order")
-    p_verify.add_argument("--count", type=int, default=None,
+    p_verify.add_argument("--count", type=integer, default=None,
                           help="override each scan's default count")
     p_verify.add_argument("--format", choices=("table", "json", "csv"),
                           default="table")
 
     p_scan = sub.add_parser(
         "scan", help="tabulate B_{s,t}(p*n+r) mod m for n below a count")
-    p_scan.add_argument("s", type=int)
-    p_scan.add_argument("t", type=int)
-    p_scan.add_argument("p", type=int)
-    p_scan.add_argument("r", type=int)
-    p_scan.add_argument("mod", type=int)
-    p_scan.add_argument("count", type=int)
+    p_scan.add_argument("s", type=integer)
+    p_scan.add_argument("t", type=integer)
+    p_scan.add_argument("p", type=integer)
+    p_scan.add_argument("r", type=integer)
+    p_scan.add_argument("mod", type=integer)
+    p_scan.add_argument("count", type=integer)
     p_scan.add_argument("--format", choices=("table", "json", "csv"),
                         default="table")
     return parser

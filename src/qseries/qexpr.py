@@ -119,7 +119,8 @@ def tokenize(text: str) -> list[Token]:
 class _Node(Record):
     """A syntax-tree node.  Its hash is computed once, at construction,
     from its type and its fields, whose own hashes are stored, so hashing
-    a tree of any depth never walks it."""
+    a tree of any depth never walks it; ``==`` and ``repr`` walk it on a
+    stack, so they take a tree of any depth too."""
 
     __slots__ = ("_hash",)
 
@@ -131,6 +132,42 @@ class _Node(Record):
 
     def __hash__(self) -> int:
         return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if type(a) is not type(b) or a._hash != b._hash:
+                return False
+            for x, y in zip(a._values(), b._values()):
+                if isinstance(x, _Node):
+                    stack.append((x, y))
+                elif x != y:
+                    return False
+        return True
+
+    def __repr__(self) -> str:
+        # Record's repr, with the nodes among the fields expanded in
+        # place: the stack holds text, and nodes still to be written
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            parts: list = [f"{type(item).__name__}("]
+            for i, (name, value) in enumerate(zip(item.__slots__,
+                                                  item._values())):
+                parts.append(f"{', ' if i else ''}{name}=")
+                parts.append(value if isinstance(value, _Node) else repr(value))
+            parts.append(")")
+            stack += reversed(parts)
+        return "".join(out)
 
 
 class IntLit(_Node):
@@ -457,20 +494,17 @@ def _septic_cached(order: int, modulus: int) -> dict[str, TruncatedSeries]:
 def _atom(node: QExpr) -> int | tuple[int, int] | QExpr:
     """The record key of f_k (k), theta(a,b) ((a, b)), a(q^k) or a
     septic quotient (its node); TypeError for a non-node.  A malformed
-    atom raises ValueError here, as its builder does, where the walk
-    meets it: a key with exponent 0 is never built."""
+    atom raises its builder's ValueError (:func:`qfunctions.check_key`)
+    here, where the walk meets it, whatever its exponent."""
     if isinstance(node, Euler):
-        if node.k < 1:
-            qfunctions.euler_f(node.k, 1)
+        qfunctions.check_key(node.k)
         return node.k
     if isinstance(node, Theta):
-        if min(node.a, node.b) < 1:
-            qfunctions.ramanujan_theta((node.a, node.b), 1)
+        qfunctions.check_key((node.a, node.b))
         return (node.a, node.b)
     if not isinstance(node, (CubicA, Septic)):
         raise TypeError(f"not a QExpr node: {node!r}")
-    if node.k < 1:
-        qfunctions.borwein_a(node.k, 1)
+    qfunctions.check_key(node.k, "argument power")
     if isinstance(node, Septic) and (
             node.letter not in qfunctions.SEPTIC_THETA):
         raise ValueError(f"unknown septic quotient {node.letter!r}")

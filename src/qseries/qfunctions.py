@@ -25,9 +25,62 @@ from functools import partial
 from itertools import groupby
 from math import gcd, isqrt
 from operator import itemgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .series import EXACT, CoefficientRing, TruncatedSeries, _quotient_packed
+
+
+def check_key(key: int | tuple[int, int],
+              name: str = "Euler product index") -> None:
+    """The one key check: the builders' ValueError for a or b of theta
+    (a, b), or the k of f_k, f_k^3 or a(q^k) ("argument power"), below 1."""
+    if isinstance(key, tuple):
+        if min(key) < 1:
+            raise ValueError(f"theta exponents must be positive, got {key}")
+    elif key < 1:
+        raise ValueError(f"{name} must be positive, got {key}")
+
+
+def _of_terms(terms: Iterable[tuple[int, int]], order: int,
+              ring: CoefficientRing) -> TruncatedSeries:
+    """The series sum v q^e over the (e, v) terms, all e below order, as
+    residues: a repeated e adds its values first; no zero is reduced."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    coeffs = [0] * order
+    m = ring.modulus
+    for e, v in terms:
+        coeffs[e] = (coeffs[e] + v) % m if m else coeffs[e] + v
+    return TruncatedSeries._of_residues(ring, coeffs)
+
+
+def _theta_terms(a: int, b: int, order: int) -> Iterator[tuple[int, int]]:
+    """The terms (-1)^n q^(a n(n+1)/2 + b n(n-1)/2) of f(-q^a, -q^b) below
+    order, over all integers n, whose exponents are at least min(a, b) n^2."""
+    top = isqrt((order - 1) // min(a, b))
+    for n in range(-top, top + 1):
+        e = a * n * (n + 1) // 2 + b * n * (n - 1) // 2
+        if e < order:
+            yield e, -1 if n & 1 else 1
+
+
+def _cube_terms(k: int, order: int) -> Iterator[tuple[int, int]]:
+    """The terms (-1)^n (2n+1) q^(k n(n+1)/2) of f_k^3 below order."""
+    for n in range(isqrt(2 * order // k) + 1):
+        e = k * n * (n + 1) // 2
+        if e < order:
+            yield e, -(2 * n + 1) if n & 1 else 2 * n + 1
+
+
+def _lattice_terms(k: int, order: int) -> Iterator[tuple[int, int]]:
+    """The terms q^(k(m^2+mn+n^2)) of a(q^k) below order, one per lattice
+    point: m^2+mn+n^2 >= 3*max(|m|,|n|)^2/4 bounds the box of points."""
+    box = isqrt(4 * ((order - 1) // k) // 3) + 1
+    for m in range(-box, box + 1):
+        for n in range(-box, box + 1):
+            e = k * (m * m + m * n + n * n)
+            if e < order:
+                yield e, 1
 
 
 def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
@@ -37,9 +90,8 @@ def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSerie
     Notebooks* III, the pentagonal number theorem): the exponents are
     k*j*(3j-1)/2 for all integers j, with sign (-1)^j.
     """
-    if k < 1:
-        raise ValueError(f"Euler product index must be positive, got {k}")
-    return ramanujan_theta((k, 2 * k), order, ring)
+    check_key(k)
+    return _of_terms(_theta_terms(k, 2 * k, order), order, ring)
 
 
 def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
@@ -49,18 +101,8 @@ def euler_cube(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSe
 
     About sqrt(2N/k) nonzero terms, fewer than f_k itself has.
     """
-    if k < 1:
-        raise ValueError(f"Euler product index must be positive, got {k}")
-    if order < 1:
-        raise ValueError("order must be positive")
-    coeffs = [0] * order
-    n = 0
-    e = 0
-    while e < order:
-        coeffs[e] = -(2 * n + 1) if n & 1 else 2 * n + 1
-        n += 1
-        e = k * n * (n + 1) // 2
-    return TruncatedSeries(ring, coeffs)
+    check_key(k)
+    return _of_terms(_cube_terms(k, order), order, ring)
 
 
 def pk_series(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
@@ -72,34 +114,10 @@ def pk_series(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSer
 
 def ramanujan_theta(spec: tuple[int, int], order: int,
                     ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """The theta series f(-q^a, -q^b) = sum_n (-1)^n q^{a n(n+1)/2 + b n(n-1)/2}.
-
-    The bilateral sum runs over all integers n; the loop stops once both
-    the +n and -n exponents pass the truncation order, which they do
-    monotonically for n >= 1.
-    """
-    a, b = spec
-    if a < 1 or b < 1:
-        raise ValueError(f"theta exponents must be positive, got ({a}, {b})")
-    if order < 1:
-        raise ValueError("order must be positive")
-    coeffs = [0] * order
-    coeffs[0] += 1  # n = 0
-    n = 1
-    while True:
-        t_up = n * (n + 1) // 2
-        t_dn = n * (n - 1) // 2
-        e_pos = a * t_up + b * t_dn   # term at +n
-        e_neg = a * t_dn + b * t_up   # term at -n
-        if e_pos >= order and e_neg >= order:
-            break
-        s = -1 if n & 1 else 1
-        if e_pos < order:
-            coeffs[e_pos] += s
-        if e_neg < order:
-            coeffs[e_neg] += s
-        n += 1
-    return TruncatedSeries(ring, coeffs)
+    """The theta series f(-q^a, -q^b) = sum_n (-1)^n q^{a n(n+1)/2 + b n(n-1)/2},
+    the sum over all integers n, truncated."""
+    check_key(tuple(spec))
+    return _of_terms(_theta_terms(*spec, order), order, ring)
 
 
 # The septic quotients A, B, C are f(-q^a, -q^b) / f_2 for these (a, b).
@@ -121,25 +139,9 @@ def septic_ABC(order: int, ring: CoefficientRing = EXACT
 
 
 def borwein_a(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:
-    """The cubic theta a(q^k) = sum_{m,n} q^{k(m^2+mn+n^2)}, truncated.
-
-    The quadratic form satisfies m^2+mn+n^2 >= 3*max(|m|,|n|)^2/4, which
-    bounds the lattice box that can contribute below the truncation order.
-    """
-    if k < 1:
-        raise ValueError(f"argument power must be positive, got {k}")
-    if order < 1:
-        raise ValueError("order must be positive")
-    e_max = (order - 1) // k
-    box = isqrt(4 * e_max // 3) + 1
-    coeffs = [0] * order
-    for m in range(-box, box + 1):
-        mm = m * m
-        for n in range(-box, box + 1):
-            e = mm + m * n + n * n
-            if e <= e_max:
-                coeffs[k * e] += 1
-    return TruncatedSeries(ring, coeffs)
+    """The cubic theta a(q^k) = sum_{m,n} q^{k(m^2+mn+n^2)}, truncated."""
+    check_key(k, "argument power")
+    return _of_terms(_lattice_terms(k, order), order, ring)
 
 
 def regular_series(ell: int, order: int,
@@ -190,7 +192,7 @@ def _divide_packed(num: TruncatedSeries, divisors: list,
     """num / prod of the divisors over Z, as (constructor, key, count)
     of :func:`_plan`, every one a series in q^k: all divided out in one
     packing of the classes mod k (:func:`series._quotient_packed`), each
-    read in q^k from its coefficients k*j.
+    D(q^k) built as D, its key divided by k, at order ceil(N / k).
 
     By the triple product f(-q^a, -q^b) = (q^a, q^b, q^(a+b); q^(a+b))_inf,
     1/f_1 and 1/theta(a, b) with a != b are products of 1/(1 - q^j) over
@@ -206,7 +208,8 @@ def _divide_packed(num: TruncatedSeries, divisors: list,
     dens: list = []
     colours = 0
     for atom, key, count in divisors:
-        dens += [atom(key, n).coeffs[::k]] * count
+        inner = (key[0] // k, key[1] // k) if isinstance(key, tuple) else 1
+        dens += [atom(inner, -(-n // k)).coeffs] * count
         colours += count * (3 if atom is euler_cube
                             else 2 if atom is ramanujan_theta
                             and key[0] == key[1] else 1)
@@ -228,7 +231,7 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     and (a, b) to that of the theta f(-q^a, -q^b); ``factors`` are more
     numerator series, each known at least to ``order``.  A key below 1,
     or a theta exponent below 1, with a nonzero exponent raises its
-    builder's ValueError.
+    builder's ValueError (:func:`check_key`).
 
     Over Z/p with p prime, f_pk = f_k^p (mod p), since (1 - x)^p =
     1 - x^p there, and a positive power costs multiplications where a
@@ -279,11 +282,8 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     p = ring.modulus
     exponents = dict(exponents)
     for key, e in exponents.items():
-        # before the rewrites, which can cancel a bad key's exponent
-        if e and isinstance(key, tuple) and min(key) < 1:
-            ramanujan_theta(key, 1)
-        elif e and not isinstance(key, tuple) and key < 1:
-            euler_f(key, 1)
+        if e:  # before the rewrites, which can cancel a bad key's exponent
+            check_key(key)
     euler = sorted(k for k in exponents if not isinstance(k, tuple))
     subs: dict[int, int] = {}  # j: c, for f_j^-c = (f_1^-c)(q^j)
     if (p and any(exponents[k] < 0 for k in euler)

@@ -115,12 +115,6 @@ class Record:
         values.update(changes)
         return type(self)(**values)
 
-    def __reduce__(self) -> tuple:
-        # copy and pickle rebuild the record through __init__, which
-        # assigning the fields one by one would bypass
-        return type(self), tuple([getattr(self, name)
-                                  for name in self.__slots__])
-
 
 class CoefficientRing(Record):
     """Coefficient domain: exact integers (modulus 0) or Z/m with m >= 2."""
@@ -587,8 +581,8 @@ class TruncatedSeries:
                      coeffs: Sequence[int]) -> TruncatedSeries:
         """A series of coefficients already reduced for its ring (each in
         [0, m) for Z/m), at least one of them: __init__ without its
-        reduction, for results that only move existing coefficients and
-        for quotients, which the recurrence reduces."""
+        reduction, for results that only move existing coefficients, for
+        quotients, which the recurrence reduces, and for the atoms."""
         series = cls.__new__(cls)
         series.ring = ring
         series.coeffs = coeffs = tuple(coeffs)
@@ -597,11 +591,13 @@ class TruncatedSeries:
 
     @classmethod
     def zero(cls, ring: CoefficientRing, order: int) -> TruncatedSeries:
-        return cls(ring, [0] * order)
+        if order < 1:
+            raise ValueError("a series needs a positive truncation order")
+        return cls._of_residues(ring, [0] * order)
 
     @classmethod
     def one(cls, ring: CoefficientRing, order: int) -> TruncatedSeries:
-        return cls(ring, [1] + [0] * (order - 1))
+        return cls._of_residues(ring, (1,) + cls.zero(ring, order).coeffs[1:])
 
     # --- inspection ------------------------------------------------------
 

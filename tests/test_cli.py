@@ -57,7 +57,8 @@ class TestExpand:
         assert main(["expand", "q"]) == EXIT_OK
         assert len(capsys.readouterr().out.split()) == 7
 
-    @pytest.mark.parametrize("raw", ["abc", "0", "-4"])
+    # int() reads the last three as 3, 7 and 10
+    @pytest.mark.parametrize("raw", ["abc", "0", "-4", "٣", " 7", "1_0"])
     def test_malformed_default_order_env_warns(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("QSERIES_DEFAULT_ORDER", raw)
         assert main(["expand", "q"]) == EXIT_OK
@@ -147,6 +148,51 @@ def test_out_of_range_option_exit(capsys, monkeypatch, argv):
     err = captured.err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert argv[-2] in err[0]
+
+
+_SCAN = ["2", "15", "9", "8", "5", "3"]
+
+
+@pytest.mark.parametrize("argv, argument", [
+    (["expand", "f1", "--order", "abc"], "--order"),  # int() rejects it too
+    (["expand", "f1", "--order", "٣"], "--order"),
+    (["expand", "f1", "--order", "²"], "--order"),
+    (["expand", "f1", "--order", " 5"], "--order"),
+    (["expand", "f1", "--order", "5 "], "--order"),
+    (["expand", "f1", "--order", "1_0"], "--order"),
+    (["expand", "f1", "--order", ""], "--order"),
+    (["expand", "f1", "--order", "+"], "--order"),
+    (["expand", "f1", "--order", "5.0"], "--order"),
+    (["expand", "f1", "--mod", "١١"], "--mod"),
+    (["verify", "--filter", "eq-4w", "--order", "٣"], "--order"),
+    (["verify", "--filter", "b215-b1", "--count", "1_0"], "--count"),
+] + [(["scan", *_SCAN[:i], "٩", *_SCAN[i + 1:]], name)
+     for i, name in enumerate(("s", "t", "p", "r", "mod", "count"))])
+def test_integer_other_than_ascii_digits_exit(capsys, monkeypatch, argv,
+                                              argument):
+    # one reader takes every integer of the command line: ASCII digits
+    # with an optional sign; argparse rejects anything else, as it
+    # rejects '--order abc', before any command runs
+    def fail(*args, **kwargs):
+        raise AssertionError("ran past argument parsing")
+
+    for name in ("cmd_expand", "cmd_verify", "cmd_scan"):
+        monkeypatch.setattr(cli, name, fail)
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    bad = argv[argv.index(argument) + 1] if argument[0] == "-" else "٩"
+    assert captured.err.splitlines()[-1].endswith(
+        f"error: argument {argument}: invalid integer value: {bad!r}")
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0", 0), ("7", 7), ("+5", 5), ("-3", -3), ("007", 7),
+    ("1" + "0" * 30, 10 ** 30)])
+def test_integer_reads_ascii_digits_with_a_sign(text, value):
+    assert cli.integer(text) == value
 
 
 @pytest.mark.parametrize("argv", [

@@ -136,6 +136,37 @@ class TestParse:
         a, b = parse_expr(text), parse_expr(text)
         assert a is not b and hash(a) == hash(b)
 
+    @pytest.mark.parametrize("op", ["+", "*"])
+    def test_deep_tree_compares_prints_and_looks_up(self, op):
+        # == and repr walk the tree on a stack, so a tree of any depth
+        # compares, prints and serves as a dict key
+        text = f"q{op}" * 2999 + "q"
+        a, b = parse_expr(text), parse_expr(text)
+        assert a == b and not a != b
+        assert {a: 1}[b] == 1
+        assert repr(a) == repr(b)
+        kind = "Add" if op == "+" else "Mul"
+        assert repr(a) == (f"{kind}(left=" * 2999 + "QVar()"
+                           + ", right=QVar())" * 2999)
+        # the deepest leaf differs: the hashes differ
+        assert a != parse_expr(text[:-1] + "2")
+        assert a != parse_expr("2" + text[1:])
+
+    def test_repr_and_equality_of_every_field_kind(self):
+        tree = parse_expr("f1^-3*B(q^7)/theta(1,2) - 5*a(q^3) + -q")
+        assert repr(tree) == (
+            "Add(left=Sub(left=Div(left=Mul(left=Pow(base=Euler(k=1), "
+            "exponent=-3), right=Septic(letter='B', k=7)), "
+            "right=Theta(a=1, b=2)), right=Mul(left=IntLit(value=5), "
+            "right=CubicA(k=3))), right=Neg(child=QVar()))")
+        assert tree == parse_expr(to_text(tree))
+        for x, y in [(Septic("A", 2), Septic("B", 2)), (Septic("A", 2),
+                     Septic("A", 3)), (Pow(QVar(), 2), Pow(QVar(), 3)),
+                     (Theta(1, 2), Theta(2, 1)), (Add(QVar(), QVar()),
+                     Sub(QVar(), QVar())), (Neg(Euler(1)), Neg(Euler(2)))]:
+            assert x != y and not x == y and x == x.replace()
+        assert (Euler(1) == 1) is False and Euler(1) != "f1"
+
 
 def _random_tree(rng, depth):
     if depth == 0:

@@ -190,21 +190,26 @@ class TestFrobeniusSubstitution:
     @pytest.mark.parametrize("m", [0, 2, 4, 5, 6, 9, 11, 17])
     def test_equals_exact_quotient_reduced(self, monkeypatch, m, rng):
         n = 60
-        built = _record_built(monkeypatch)
-        substituted = 0
+        powers = []  # the substitution power k of every product
+        mul = TruncatedSeries.mul
+
+        def recorded(self, other, k=1, p=1, r=0):
+            powers.append(k)
+            return mul(self, other, k, p, r)
+
+        monkeypatch.setattr(TruncatedSeries, "mul", recorded)
         for _ in range(25):
             exponents, factors = _substitution_case(rng, m, n)
             want = _whole_quotient(exponents, n, factors)
             if m:
                 want = want.reduce_mod(m)
                 factors = [f.reduce_mod(m) for f in factors]
-            built.clear()
             got = eta_quotient(exponents, n, want.ring, factors)
             assert got == want, (exponents, m)
-            substituted += any(order < n for _, order in built)
-        # the division-side rule builds f_1 below the order, for
-        # (f_1^-c)(q^pk)
-        assert bool(substituted) == (m in (2, 5, 11, 17))
+        # the division-side rule multiplies by (f_1^-c)(q^pk), pk >= 2;
+        # over Z the packed divisors are built below the order too, so
+        # the substituted product, not a build's order, shows the rule
+        assert any(k > 1 for k in powers) == (m in (2, 5, 11, 17))
 
     @pytest.mark.parametrize("exponents,m,built", [
         ({11: 1, 1: -2}, 11, {(1, 200)}),
@@ -501,6 +506,81 @@ class TestPackedDivision:
         monkeypatch.undo()
         _packed_calls(monkeypatch, narrow=8)
         assert eta_quotient(exponents, n, EXACT, [num]) != want
+
+
+    @pytest.mark.parametrize("k", [2, 3, 7])
+    def test_each_divisor_is_the_atom_in_q_to_the_k(self, monkeypatch, k):
+        # every divisor D(q^k) is built once, as D: its key divided by k,
+        # at the class order ceil(n / k), never at the whole order
+        built, divisors = [], []
+        for name in ("euler_f", "euler_cube", "ramanujan_theta"):
+            def build(key, order, ring=EXACT,
+                      builder=getattr(qfunctions, name)):
+                built.append((builder.__name__, key, order))
+                return builder(key, order, ring)
+
+            monkeypatch.setattr(qfunctions, name, build)
+        packed = qfunctions._quotient_packed
+
+        def recorded(num, dens, kk, n, bits):
+            divisors.append(dens)
+            return packed(num, dens, kk, n, bits)
+
+        monkeypatch.setattr(qfunctions, "_quotient_packed", recorded)
+        # f_k^-4 is one f_k and one cube; theta(k, k) is divided twice
+        exponents = {k: -4, (k, 3 * k): -1, (2 * k, k): -1, (k, k): -2}
+        orders = (1, k - 1, k, k + 1, 5 * k + 1, 300)
+        for n in orders:
+            built.clear()
+            eta_quotient(exponents, n, EXACT, [TruncatedSeries(EXACT, [1] * n)])
+            size = -(-n // k)
+            assert built == [("euler_f", 1, size), ("euler_cube", 1, size),
+                             ("ramanujan_theta", (1, 3), size),
+                             ("ramanujan_theta", (2, 1), size),
+                             ("ramanujan_theta", (1, 1), size)], n
+        monkeypatch.undo()
+        for n, dens in zip(orders, divisors, strict=True):
+            assert dens == [
+                euler_f(k, n).coeffs[::k], euler_cube(k, n).coeffs[::k],
+                ramanujan_theta((k, 3 * k), n).coeffs[::k],
+                ramanujan_theta((2 * k, k), n).coeffs[::k]] + [
+                ramanujan_theta((k, k), n).coeffs[::k]] * 2, n
+
+
+def _times(a, b):
+    """a * b to len(a) coefficients, the schoolbook way."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] += x * b[j]
+    return out
+
+
+class TestAtomsOverZm:
+    """Every atom in Z/m is its oracle's series with each value reduced:
+    the values at one exponent (theta(a, a)'s +-2, the a(q) lattice's,
+    up to 24 here) are added before they are reduced."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 9, 11])
+    def test_each_atom_is_its_oracle_reduced(self, m):
+        ring, n = mod_ring(m), 400
+
+        def reduced(coeffs):
+            return [c % m for c in coeffs]
+
+        for k in (1, 2, 3, 7):
+            f = naive_euler(k, n)
+            cube = _times(_times(f, f), f)
+            a = [0] * n
+            a[::k] = lattice_a(-(-n // k))
+            assert list(euler_f(k, n, ring).coeffs) == reduced(f), k
+            assert list(euler_cube(k, n, ring).coeffs) == reduced(cube), k
+            assert list(borwein_a(k, n, ring).coeffs) == reduced(a), k
+            # an odd m divides a cube value 2n+1 here (-3, 9 or -11)
+            assert m % 2 == 0 or 0 in reduced(v for v in cube if v), k
+        for spec in ((1, 1), (2, 2), (5, 5), (1, 2), (3, 4), (2, 7), (9, 1)):
+            assert list(ramanujan_theta(spec, n, ring).coeffs) == \
+                reduced(bilateral_theta(*spec, n)), spec
 
 
 class TestRamanujanTheta:

