@@ -48,7 +48,6 @@ from .qexpr import (
 from .verify import (
     BinomialCheck,
     CongruenceCheck,
-    DissectionPipeline,
     Families,
     IdentityCheck,
     REGISTRY,
@@ -70,9 +69,9 @@ __all__ = [
     "borwein_a", "regular_series", "bipartition_series",
     "EvalContext", "EvalError", "QSyntaxError", "tokenize", "parse",
     "parse_expr", "to_text", "evaluate", "evaluate_text",
-    "DissectionPipeline", "IdentityCheck", "CongruenceCheck",
-    "BinomialCheck", "Families", "RegistryItem", "RegistryRun",
-    "VerificationReport", "REGISTRY", "run_check",
+    "IdentityCheck", "CongruenceCheck", "BinomialCheck", "Families",
+    "RegistryItem", "RegistryRun", "VerificationReport", "REGISTRY",
+    "run_check",
     "run_pipeline", "run_item", "run_registry",
     "__version__",
 ]

@@ -27,8 +27,8 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import (CongruenceCheck, Families, run_item, seed_order_for,
-                     select_items)
+from .verify import (CongruenceCheck, Families, IdentityCheck, run_item,
+                     seed_order_for, select_items)
 
 # A scan needs the family series out to step*(count - 1) + offset + 1
 # coefficients.  Only one residue class of them is kept, but building it
@@ -142,10 +142,6 @@ def cmd_expand(args: argparse.Namespace) -> int:
     except (QSyntaxError, EvalError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except RecursionError:
-        # parsing recurses once per nesting level
-        print("error: expression nested too deeply", file=sys.stderr)
-        return EXIT_BAD_INPUT
     if args.format == "json":
         print(json.dumps({"expr": args.expr, "order": series.order,
                           "modulus": ring.modulus,
@@ -183,8 +179,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if _over_scan_cap(families):
         return EXIT_SCAN_BUDGET
     # the largest seed order, sized before any row as the scans are above
-    need = max((seed_order_for(args.order or check.order,
-                               getattr(getattr(check, "lhs", ""), "steps", ()))
+    need = max((seed_order_for(args.order or check.order, check.step,
+                               check.residue)
+                if isinstance(check, IdentityCheck)
+                else args.order or check.order
                 for item in items for check in item.checks
                 if not isinstance(check, CongruenceCheck)), default=0)
     if need > sys.maxsize:

@@ -356,9 +356,19 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> QExpr:
-    """Parse a token stream into a syntax tree."""
+    """Parse a token stream into a syntax tree.  The parser recurses
+    once per nesting level; past the interpreter's limit the error names
+    the outermost parenthesis still open there (position 0 if none)."""
     parser = _Parser(tokens)
-    node = parser.parse_expr()
+    try:
+        node = parser.parse_expr()
+    except RecursionError:
+        depth = pos = 0
+        for tok in tokens[:parser.i]:
+            if tok.text == "(" and not depth:
+                pos = tok.pos
+            depth += (tok.text == "(") - (tok.text == ")")
+        raise QSyntaxError("expression nested too deeply", pos) from None
     tok = parser.peek()
     if tok.kind != "END":
         raise QSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)
@@ -392,51 +402,57 @@ def _level(e: QExpr) -> int:
 _INFIX = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
 
 
-def _left_spine(e: QExpr, kinds: tuple[type, ...]) -> list[QExpr]:
-    """e, e.left, e.left.left, ... while the node is one of kinds."""
+def _wrap(child: QExpr, strict: bool, parent_level: int) -> tuple:
+    lv = _level(child)
+    if lv < parent_level or (strict and lv == parent_level):
+        return ("(", child, ")")
+    return (child,)
+
+
+def _parts(e: QExpr) -> list:
+    """The text of e in order: strings, and children still to render."""
+    if isinstance(e, IntLit):
+        return [str(e.value)]
+    if isinstance(e, QVar):
+        return ["q"]
+    if isinstance(e, Euler):
+        return [f"f{e.k}"]
+    if isinstance(e, CubicA):
+        return ["a(q)" if e.k == 1 else f"a(q^{e.k})"]
+    if isinstance(e, Septic):
+        return [e.letter if e.k == 1 else f"{e.letter}(q^{e.k})"]
+    if isinstance(e, Theta):
+        return [f"theta({e.a},{e.b})"]
+    if isinstance(e, Neg):
+        return ["-", *_wrap(e.child, False, _LEVEL_NEG)]
+    if isinstance(e, Pow):
+        return [*_wrap(e.base, True, _LEVEL_POW), f"^{e.exponent}"]
+    if not isinstance(e, (Add, Sub, Mul, Div)):
+        raise TypeError(f"not a QExpr node: {e!r}")
+    # a chain of one level is listed along its left spine
+    level = _level(e)
     spine = []
-    while isinstance(e, kinds):
+    while _level(e) == level:
         spine.append(e)
         e = e.left
-    return spine
+    parts = list(_wrap(e, False, level))
+    for node in reversed(spine):
+        parts += (_INFIX[type(node)], *_wrap(node.right, True, level))
+    return parts
 
 
 def to_text(e: QExpr) -> str:
-    """Render a syntax tree back to expression text."""
-    def wrap(child: QExpr, strict: bool, parent_level: int) -> str:
-        lv = _level(child)
-        text = to_text(child)
-        if lv < parent_level or (strict and lv == parent_level):
-            return f"({text})"
-        return text
-
-    if isinstance(e, IntLit):
-        return str(e.value)
-    if isinstance(e, QVar):
-        return "q"
-    if isinstance(e, Euler):
-        return f"f{e.k}"
-    if isinstance(e, CubicA):
-        return "a(q)" if e.k == 1 else f"a(q^{e.k})"
-    if isinstance(e, Septic):
-        return e.letter if e.k == 1 else f"{e.letter}(q^{e.k})"
-    if isinstance(e, Theta):
-        return f"theta({e.a},{e.b})"
-    if isinstance(e, Neg):
-        return "-" + wrap(e.child, False, _LEVEL_NEG)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        # a left-leaning chain of one level is rendered along its left
-        # spine, without recursion, however long it is
-        level = _level(e)
-        spine = _left_spine(e, (Add, Sub) if level == _LEVEL_ADD
-                            else (Mul, Div))
-        text = wrap(spine[-1].left, False, level)
-        for node in reversed(spine):
-            text += _INFIX[type(node)] + wrap(node.right, True, level)
-        return text
-    if isinstance(e, Pow):
-        return wrap(e.base, True, _LEVEL_POW) + f"^{e.exponent}"
-    raise TypeError(f"not a QExpr node: {e!r}")
+    """Render a syntax tree back to expression text, on a stack, so a
+    tree of any depth is rendered."""
+    out: list[str] = []
+    stack: list = [e]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            stack += reversed(_parts(item))
+    return "".join(out)
 
 
 # --------------------------------------------------------------------------

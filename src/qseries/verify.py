@@ -1,11 +1,12 @@
 """Registry of congruence identities and the engine that re-checks them.
 
-Each registry item is a declarative record: a series identity (possibly
-preceded by a dissection pipeline), a whole chain of such links, a
-modular coefficient scan over an arithmetic progression, or the
-prime-power coefficient congruence f_p = f_1^p (mod p).  Running an item
-produces a :class:`VerificationReport` stating how far equality was
-checked and, on failure, the first mismatching coefficient.
+Each registry item is a declarative record: a series identity (whose
+left side may be read on one residue class, a dissection link), a whole
+chain of such links, a modular coefficient scan over an arithmetic
+progression, or the prime-power coefficient congruence f_p = f_1^p
+(mod p).  Running an item produces a :class:`VerificationReport` stating
+how far equality was checked and, on failure, the first mismatching
+coefficient.
 
 Only the residue class a check reads is computed: a dissection link
 (p, r) evaluates its seed on coefficients r, r + p, ... alone.  A run
@@ -45,18 +46,14 @@ INDUCTION_NOTE = "induction-link verified"
 # Declarative check records
 # --------------------------------------------------------------------------
 
-class DissectionPipeline(Record):
-    """A seed expression followed by (step, residue) coefficient extractions."""
-
-    __slots__ = ("seed", "steps")  # str, tuple[tuple[int, int], ...]
-
-
 class IdentityCheck(Record):
-    """Claim: lhs = rhs as series, in the given ring, to the given order.
-    lhs is expression text or a DissectionPipeline; modulus 0 means Z."""
+    """Claim: the coefficients residue, residue + step, ... of lhs equal
+    rhs, as series in the given ring, to the given order; lhs and rhs
+    are expression text, and modulus 0 means Z.  Steps (p1, r1) then
+    (p2, r2) are the one class (p1*p2, r1 + p1*r2)."""
 
-    __slots__ = ("name", "lhs", "rhs", "modulus", "order")
-    _defaults = {"modulus": 0, "order": 500}
+    __slots__ = ("name", "lhs", "rhs", "modulus", "order", "step", "residue")
+    _defaults = {"modulus": 0, "order": 500, "step": 1, "residue": 0}
 
 
 class CongruenceCheck(Record):
@@ -127,30 +124,22 @@ class RegistryRun(Record):
 # Check execution
 # --------------------------------------------------------------------------
 
-def run_pipeline(pipeline: DissectionPipeline, ring, order: int,
-                 records: dict | None = None) -> TruncatedSeries:
-    """Evaluate the seed at the given order, then apply each extraction;
-    the seed is evaluated on the first step's class only, with
-    ``records`` as the memo of planned records (:class:`EvalContext`).
-
-    Every step divides the available order by its step size, so callers
-    must budget order >= desired_final_order * product(steps); an
-    over-extraction that leaves nothing raises ValuationError.
-    """
-    steps = pipeline.steps or ((1, 0),)
-    series = evaluate(parse_expr(pipeline.seed),
-                      EvalContext(order, ring, *steps[0], records))
-    for p, r in steps[1:]:
-        series = series.extract(p, r)
-    return series
+def run_pipeline(seed: str, ring, order: int, step: int = 1,
+                 residue: int = 0, records: dict | None = None
+                 ) -> TruncatedSeries:
+    """Coefficients residue, residue + step, ... of the seed text, order
+    of them: the seed is evaluated on that class alone, at
+    :func:`seed_order_for`, with ``records`` as the memo of planned
+    records (:class:`EvalContext`)."""
+    return evaluate(parse_expr(seed),
+                    EvalContext(seed_order_for(order, step, residue), ring,
+                                step, residue, records))
 
 
-def seed_order_for(final_order: int, steps: tuple[tuple[int, int], ...]) -> int:
-    """Smallest seed order whose pipeline output reaches final_order."""
-    needed = final_order
-    for p, r in reversed(steps):
-        needed = (needed - 1) * p + r + 1
-    return needed
+def seed_order_for(order: int, step: int = 1, residue: int = 0) -> int:
+    """Smallest seed order whose class residue mod step holds order
+    coefficients."""
+    return (order - 1) * step + residue + 1
 
 
 def family_series(s: int, t: int, modulus: int, order: int, step: int = 1,
@@ -256,22 +245,20 @@ def _pairs(check: Check, families: Families, order: int | None = None,
            count: int | None = None) -> Iterator[Pair]:
     """The series pairs a check claims equal, built lazily, one at a time.
 
-    An identity yields its two sides; a scan yields the left progression
-    of its family, read from ``families``, against the right one times
-    the multiplier (or zero), coefficient n for n below the count; the
-    binomial check yields f_p against f_1^p for each prime in turn.
+    An identity yields its two sides, the left read on its class; a scan
+    yields the left progression of its family, read from ``families``,
+    against the right one times the multiplier (or zero), coefficient n
+    for n below the count; the binomial check yields f_p against f_1^p
+    for each prime in turn.
     """
     if isinstance(check, IdentityCheck):
         n = order if order is not None else check.order
         ring = mod_ring(check.modulus) if check.modulus else EXACT
-        ctx = EvalContext(n, ring, records=families.records)
-        if isinstance(check.lhs, DissectionPipeline):
-            lhs = run_pipeline(check.lhs, ring,
-                               seed_order_for(n, check.lhs.steps),
-                               families.records)
-        else:
-            lhs = evaluate(parse_expr(check.lhs), ctx)
-        yield (lhs, evaluate(parse_expr(check.rhs), ctx), lambda index: {})
+        lhs = run_pipeline(check.lhs, ring, n, check.step, check.residue,
+                           families.records)
+        rhs = evaluate(parse_expr(check.rhs),
+                       EvalContext(n, ring, records=families.records))
+        yield lhs, rhs, lambda index: {}
     elif isinstance(check, CongruenceCheck):
         cnt = count if count is not None else check.count
         lhs, *rhs = families.read(check, cnt)
@@ -403,18 +390,18 @@ _B5_RHS = "4*f6^2*f2^3/f3"
 _B6_RHS = "3*f2^2*f6^3/f1"
 
 
-def _identity(item_id, description, lhs, rhs, *, modulus=0, order=500,
-              tags=(), note=None) -> RegistryItem:
-    check = IdentityCheck(item_id, lhs, rhs, modulus=modulus, order=order)
+def _identity(item_id, description, lhs, rhs, *, tags=(), note=None,
+              **fields) -> RegistryItem:
+    check = IdentityCheck(item_id, lhs, rhs, **fields)
     return RegistryItem(item_id, "identity", description, tuple(tags),
                         (check,), note)
 
 
 def _chain(item_id, description, links, *, modulus, order, tags,
            note) -> RegistryItem:
-    checks = tuple(
-        IdentityCheck(name, lhs, rhs, modulus=modulus, order=order)
-        for name, lhs, rhs in links)
+    """links holds (name, lhs, rhs) or (name, lhs, rhs, step, residue)."""
+    checks = tuple(IdentityCheck(name, lhs, rhs, modulus, order, *cls)
+                   for name, lhs, rhs, *cls in links)
     return RegistryItem(item_id, "chain", description, tuple(tags), checks, note)
 
 
@@ -437,12 +424,11 @@ def _build_registry() -> dict[str, RegistryItem]:
         (BinomialCheck("eq-k1", (2, 3, 5, 7, 11, 13, 17), order=500),)))
     items.append(_identity(
         "eq-j1", "partition numbers on 5n+4 as an eta quotient",
-        DissectionPipeline("1/f1", ((5, 4),)), "5*f5^5/f1^6",
-        tags=("classical",)))
+        "1/f1", "5*f5^5/f1^6", step=5, residue=4, tags=("classical",)))
     items.append(_identity(
         "eq-j2", "partition numbers on 7n+5 as a two-term eta quotient",
-        DissectionPipeline("1/f1", ((7, 5),)),
-        "7*f7^3/f1^4 + 49*q*f7^7/f1^8", tags=("classical",)))
+        "1/f1", "7*f7^3/f1^4 + 49*q*f7^7/f1^8", step=7, residue=5,
+        tags=("classical",)))
 
     # --- quotient lemmas -------------------------------------------------
     items.append(_identity(
@@ -490,22 +476,22 @@ def _build_registry() -> dict[str, RegistryItem]:
         "14*q*f1^4/f7^4 + f1^8/f7^8 + 57*q^2", order=300, tags=("lemmas",)))
     items.append(_identity(
         "eq-15", "f1^5 on 7n+3 in terms of the septic quotient combinations",
-        DissectionPipeline("f1^5", ((7, 3),)),
+        "f1^5",
         "f7^5*(20*(A*B^2/C^3 + q*A^2*C/B^3 - q^2*B*C^2/A^3)"
         " - 10*(A^3/(B*C^2) - q*B^3/(A^2*C) - q^2*C^3/(A*B^2)) - 61*q)",
-        order=300, tags=("lemmas",)))
+        step=7, residue=3, order=300, tags=("lemmas",)))
     items.append(_identity(
         "lemma-1.2", "f1^5 on 7n+3, simplified two-term form",
-        DissectionPipeline("f1^5", ((7, 3),)), "10*f1^4*f7 + 49*q*f7^5",
+        "f1^5", "10*f1^4*f7 + 49*q*f7^5", step=7, residue=3,
         tags=("lemmas",)))
     items.append(_identity(
         "lemma-0.2", "f1^7 on 7n, two-term form",
-        DissectionPipeline("f1^7", ((7, 0),)), "f1^8/f7 + 49*q*f7^3*f1^4",
+        "f1^7", "f1^8/f7 + 49*q*f7^3*f1^4", step=7, residue=0,
         tags=("lemmas",)))
     items.append(_identity(
         "lemma-1.1", "f1^9 on 7n+4, three-term form",
-        DissectionPipeline("f1^9", ((7, 4),)),
-        "-90*f1^8*f7 - 882*q*f1^4*f7^5 - 2401*q^2*f7^9", tags=("lemmas",)))
+        "f1^9", "-90*f1^8*f7 - 882*q*f1^4*f7^5 - 2401*q^2*f7^9",
+        step=7, residue=4, tags=("lemmas",)))
 
     # --- (2,15)-regular bipartitions mod 5 -------------------------------
     items.append(_scan(
@@ -521,16 +507,11 @@ def _build_registry() -> dict[str, RegistryItem]:
         "b215-chain",
         "ternary dissection chain for B_{2,15} mod 5, each link an identity",
         [
-            ("b215-chain/3n+2",
-             DissectionPipeline("f2*f15/f1^2", ((3, 2),)), _B3_RHS),
-            ("b215-chain/9n+5",
-             DissectionPipeline(_B3_RHS, ((3, 1),)), _B5_RHS),
-            ("b215-chain/9n+8-vanishes",
-             DissectionPipeline(_B3_RHS, ((3, 2),)), "0"),
-            ("b215-chain/27n+23",
-             DissectionPipeline(_B5_RHS, ((3, 2),)), _B6_RHS),
-            ("b215-chain/27n+14-vanishes",
-             DissectionPipeline(_B5_RHS, ((3, 1),)), "0"),
+            ("b215-chain/3n+2", "f2*f15/f1^2", _B3_RHS, 3, 2),
+            ("b215-chain/9n+5", _B3_RHS, _B5_RHS, 3, 1),
+            ("b215-chain/9n+8-vanishes", _B3_RHS, "0", 3, 2),
+            ("b215-chain/27n+23", _B5_RHS, _B6_RHS, 3, 2),
+            ("b215-chain/27n+14-vanishes", _B5_RHS, "0", 3, 1),
         ],
         modulus=5, order=200, tags=("b215",),
         note=f"{CHAIN_NOTE}; {INDUCTION_NOTE} for the unbounded-parameter "
@@ -549,27 +530,23 @@ def _build_registry() -> dict[str, RegistryItem]:
         items.append(_chain(
             f"b711-chain-{k:02d}",
             f"septic extraction link {k} of the B_{{7,11}} chain mod 11",
-            [(f"b711-chain-{k:02d}/(7n+4)",
-              DissectionPipeline(seed, ((7, 4),)), rhs)],
+            [(f"b711-chain-{k:02d}/(7n+4)", seed, rhs, 7, 4)],
             modulus=11, order=200, tags=("b711",),
             note=CHAIN_NOTE))
     items.append(_chain(
         "b711-a4",
         "final-step residues 1, 5, 6 of the B_{7,11} chain vanish mod 11",
         [
-            ("b711-a4/7n+1",
-             DissectionPipeline(_triple(0, 0, 8), ((7, 1),)), "0"),
-            ("b711-a4/7n+5",
-             DissectionPipeline(_triple(0, 0, 8), ((7, 5),)), "0"),
-            ("b711-a4/7n+6",
-             DissectionPipeline(_triple(0, 0, 8), ((7, 6),)), "0"),
+            ("b711-a4/7n+1", _triple(0, 0, 8), "0", 7, 1),
+            ("b711-a4/7n+5", _triple(0, 0, 8), "0", 7, 5),
+            ("b711-a4/7n+6", _triple(0, 0, 8), "0", 7, 6),
         ],
         modulus=11, order=200, tags=("b711",),
         note=f"{CHAIN_NOTE}; {INDUCTION_NOTE} for the vanishing families"))
     items.append(_identity(
         "b711-a3",
         "final-step residue 4 closes the B_{7,11} chain onto 3x its start",
-        DissectionPipeline(_triple(0, 0, 8), ((7, 4),)), "3*" + _triple(1, 0, 0),
+        _triple(0, 0, 8), "3*" + _triple(1, 0, 0), step=7, residue=4,
         modulus=11, order=200, tags=("b711",),
         note=f"{INDUCTION_NOTE}: multiplier-3 step extends the scanned base "
              "cases to all parameters"))
@@ -579,23 +556,20 @@ def _build_registry() -> dict[str, RegistryItem]:
         "b2711-chain",
         "ternary dissection chain for B_{27,11} mod 11",
         [
-            ("b2711-chain/3n",
-             DissectionPipeline("f27*f1^9", ((3, 0),)), _EQ9_RHS),
-            ("b2711-chain/9n+3",
-             DissectionPipeline(_EQ9_RHS, ((3, 1),)), _EQ10_RHS),
-            ("b2711-chain/27n+12",
-             DissectionPipeline(_EQ10_RHS, ((3, 1),)), _EQ10K_RHS),
+            ("b2711-chain/3n", "f27*f1^9", _EQ9_RHS, 3, 0),
+            ("b2711-chain/9n+3", _EQ9_RHS, _EQ10_RHS, 3, 1),
+            ("b2711-chain/27n+12", _EQ10_RHS, _EQ10K_RHS, 3, 1),
         ],
         modulus=11, order=200, tags=("b2711",), note=CHAIN_NOTE))
     items.append(_identity(
         "b2711-eq11", "B_{27,11}(81n+66) family vanishes mod 11",
-        DissectionPipeline(_EQ10K_RHS, ((3, 2),)), "0",
-        modulus=11, order=200, tags=("b2711",),
+        _EQ10K_RHS, "0", step=3, residue=2, modulus=11, order=200,
+        tags=("b2711",),
         note=f"{INDUCTION_NOTE} with b2711-eq12 for all parameters m >= 4"))
     items.append(_identity(
         "b2711-eq12", "B_{27,11}(81n+39) family is 9x the 27n+12 family mod 11",
-        DissectionPipeline(_EQ10K_RHS, ((3, 1),)), f"9*({_EQ10K_RHS})",
-        modulus=11, order=200, tags=("b2711",),
+        _EQ10K_RHS, f"9*({_EQ10K_RHS})", step=3, residue=1, modulus=11,
+        order=200, tags=("b2711",),
         note=f"{INDUCTION_NOTE}: multiplier-9 step extends the scanned base "
              "cases to all parameters"))
     items.append(_scan(
@@ -611,17 +585,12 @@ def _build_registry() -> dict[str, RegistryItem]:
         "ternary dissection chain for B_{243,17} mod 17, ending in a form "
         "supported only on exponents = 1 mod 3",
         [
-            ("b24317-chain/3n+2",
-             DissectionPipeline("f243*f1^15", ((3, 2),)), _G2_RHS),
-            ("b24317-chain/9n+5",
-             DissectionPipeline(_G2_RHS, ((3, 1),)), _G3_RHS),
-            ("b24317-chain/27n+23",
-             DissectionPipeline(_G3_RHS, ((3, 2),)), _G4_RHS),
+            ("b24317-chain/3n+2", "f243*f1^15", _G2_RHS, 3, 2),
+            ("b24317-chain/9n+5", _G2_RHS, _G3_RHS, 3, 1),
+            ("b24317-chain/27n+23", _G3_RHS, _G4_RHS, 3, 2),
             ("b24317-chain/final-form", _G4_RHS, _G5_RHS),
-            ("b24317-chain/3n-component-vanishes",
-             DissectionPipeline(_G5_RHS, ((3, 0),)), "0"),
-            ("b24317-chain/3n+2-component-vanishes",
-             DissectionPipeline(_G5_RHS, ((3, 2),)), "0"),
+            ("b24317-chain/3n-component-vanishes", _G5_RHS, "0", 3, 0),
+            ("b24317-chain/3n+2-component-vanishes", _G5_RHS, "0", 3, 2),
         ],
         modulus=17, order=200, tags=("b24317",),
         note=f"{CHAIN_NOTE}; {INDUCTION_NOTE} for all n beyond the scanned "

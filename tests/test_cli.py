@@ -1,4 +1,6 @@
 import json
+import random
+import re
 import sys
 
 import pytest
@@ -13,8 +15,11 @@ from qseries.cli import (
     SCAN_ORDER_CAP,
     main,
 )
+from qseries.qexpr import to_text
 from qseries.qfunctions import euler_f
 from qseries.series import mod_ring
+
+from test_qexpr import _random_tree
 
 
 class TestExpand:
@@ -86,7 +91,8 @@ def test_huge_negative_power_is_squared(capsys):
 
 
 @pytest.mark.parametrize("expr, options, message", [
-    ("(" * 400 + "q" + ")" * 400, [], "expression nested too deeply"),
+    ("(" * 400 + "q" + ")" * 400, [],
+     "expression nested too deeply (at position 0)"),
     # a malformed theta raises as its builder does, at any position and
     # with any exponent, 0 included
     ("theta(0,1)", [], "theta exponents must be positive, got (0, 1)"),
@@ -225,6 +231,136 @@ def test_out_of_memory_exit(capsys, monkeypatch):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert "MemoryError" in err[0]
+
+
+# The exit-code fuzzer draws integer options from these kinds.  No value
+# lies between 60 and 10**30: an order there is allocated, and may
+# exhaust memory, before anything fails.
+_NOT_ASCII_INTEGERS = ["٣", "５", "²", "७", "1_0", " 5"]
+_INTEGER_KINDS = [
+    lambda rng: str(rng.randint(1, 60)),                  # ASCII digits
+    lambda rng: rng.choice("+-") + str(rng.randint(0, 60)),      # signs
+    lambda rng: "0",
+    lambda rng: str(-rng.randint(1, 10 ** 31)),           # negative
+    lambda rng: rng.choice(_NOT_ASCII_INTEGERS),          # Unicode
+    lambda rng: "",
+    lambda rng: str(10 ** rng.randint(30, 40) + rng.randint(0, 9)),  # huge
+]
+_FILTERS = ["eq-j1", "eq-4w", "eq-2k", "eq-b52", "lemma-0.2", "eq-k1",
+            "b711-chain-01", "b2711-eq11", "b215-b1", "classical",
+            "no-such-item", "é"]
+
+
+def _integer(rng, most=None):
+    text = rng.choice(_INTEGER_KINDS)(rng)
+    if most is not None and re.fullmatch(r"[+-]?[0-9]+", text) \
+            and int(text) > most:
+        text = str(most)
+    return text
+
+
+def _options(rng, flags):
+    """Up to two flags drawn from flags, with values; a flag may
+    repeat."""
+    argv = []
+    for _ in range(rng.randrange(3)):
+        flag, value = rng.choice(flags)
+        argv += [flag, value(rng)]
+    return argv
+
+
+def _expression(rng):
+    text = to_text(_random_tree(rng, rng.randint(0, 4)))
+    mutation = rng.randrange(8)  # 0 and 5-7 keep the text
+    if mutation == 1:
+        text = text[:rng.randrange(len(text) + 1)]
+    elif mutation == 2 and "(" in text:
+        i = rng.choice([i for i, ch in enumerate(text) if ch in "()"])
+        text = text[:i] + text[i + 1:]
+    elif mutation == 3:
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice("éßλЖ") + text[i:]
+    elif mutation == 4:
+        text = rng.choice(["(" * 3000 + text + ")" * 3000, "-" * 3000 + text])
+    return text
+
+
+def _fuzz_argv(rng):
+    fmt = ("--format", lambda rng: rng.choice(["table", "json", "csv", "xml"]))
+    command = rng.choice(["expand", "verify", "scan"])
+    if command == "expand":
+        return ["expand", "--order", str(rng.randint(1, 60)),
+                *_options(rng, [("--order", _integer), ("--mod", _integer),
+                                fmt]), "--", _expression(rng)]
+    if command == "verify":
+        return ["verify", "--filter", rng.choice(_FILTERS),
+                *_options(rng, [("--order", _integer),
+                                ("--count", lambda rng: _integer(rng, 50)),
+                                ("--filter", lambda rng: rng.choice(_FILTERS)),
+                                fmt])]
+    # valid operands, one or two of them then redrawn from the kinds
+    p = rng.randint(1, 60)
+    operands = [rng.randint(2, 60), rng.randint(2, 60), p,
+                rng.randrange(p), rng.randint(2, 60), rng.randint(1, 50)]
+    operands = [str(v) for v in operands]
+    for _ in range(rng.randrange(3)):
+        i = rng.randrange(6)
+        operands[i] = _integer(rng, 50 if i == 5 else None)
+    return ["scan", *operands, *_options(rng, [fmt])]
+
+
+def test_exit_code_fuzzer(capsys, monkeypatch):
+    # every command line ends in a documented exit code, with nothing on
+    # stdout and one error line (or the unknown-filter warning) on a
+    # failure, and never in a traceback.  Refusals come first: an integer
+    # in other digits exits 2, expand evaluates no order below 1, verify
+    # runs nothing past the index range, no family is built past the
+    # scan cap, and verify exits 3 exactly when its filter matches nothing
+    import qseries.verify as verify_mod
+
+    def bounded(module, name, position, least, most):
+        # the order is argument number position of module.name
+        real = getattr(module, name)
+
+        def call(*args, **kwargs):
+            assert least <= args[position] <= most, (name, args[position])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, call)
+
+    bounded(cli, "EvalContext", 0, 1, float("inf"))
+    bounded(verify_mod, "run_pipeline", 2, 1, sys.maxsize)
+    bounded(verify_mod, "euler_f", 1, 1, sys.maxsize)
+    bounded(verify_mod, "bipartition_series", 2, 1, SCAN_ORDER_CAP)
+    monkeypatch.delenv("QSERIES_DEFAULT_ORDER", raising=False)
+    rng = random.Random(20191022)
+    seen = set()
+    for _ in range(400):
+        argv = _fuzz_argv(rng)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        context = (argv[:8], code, err[-300:])
+        assert code in (EXIT_OK, EXIT_BAD_INPUT, EXIT_UNKNOWN_FILTER,
+                        EXIT_SCAN_BUDGET), context
+        assert "Traceback" not in out + err, context
+        if set(argv) & set(_NOT_ASCII_INTEGERS):
+            assert code == EXIT_BAD_INPUT, context
+        if argv[0] == "verify" and code != EXIT_BAD_INPUT:
+            last = argv[len(argv) - argv[::-1].index("--filter")]
+            assert (code == EXIT_UNKNOWN_FILTER) != bool(
+                verify_mod.select_items(last)), context
+        if code == EXIT_UNKNOWN_FILTER:
+            assert out == "" and err.startswith(
+                "warning: no registry items match"), context
+        elif code:
+            assert out == "", context
+            assert sum("error:" in line for line in err.splitlines()) == 1, \
+                context
+        seen.add((argv[0], code))
+    assert len(seen) == 10
 
 
 class TestVerify:

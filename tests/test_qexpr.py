@@ -34,7 +34,7 @@ from qseries.qexpr import (
 from qseries.qfunctions import bipartition_series, euler_f, ramanujan_theta
 from qseries.series import (EXACT, SeriesError, TruncatedSeries,
                             ValuationError, mod_ring)
-from qseries.verify import REGISTRY, DissectionPipeline
+from qseries.verify import REGISTRY, IdentityCheck
 
 
 class TestTokenize:
@@ -189,14 +189,8 @@ def _registry_expressions():
     texts = []
     for item in REGISTRY.values():
         for check in item.checks:
-            lhs = getattr(check, "lhs", None)
-            if isinstance(lhs, DissectionPipeline):
-                texts.append(lhs.seed)
-            elif isinstance(lhs, str):
-                texts.append(lhs)
-            rhs = getattr(check, "rhs", None)
-            if isinstance(rhs, str):
-                texts.append(rhs)
+            if isinstance(check, IdentityCheck):
+                texts += [check.lhs, check.rhs]
     return texts
 
 

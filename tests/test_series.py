@@ -27,9 +27,8 @@ from qseries.series import (
     ValuationError,
     mod_ring,
 )
-from qseries.verify import (BinomialCheck, CongruenceCheck,
-                            DissectionPipeline, IdentityCheck, RegistryItem,
-                            RegistryRun, VerificationReport)
+from qseries.verify import (BinomialCheck, CongruenceCheck, IdentityCheck,
+                            RegistryItem, RegistryRun, VerificationReport)
 
 from conftest import random_series
 
@@ -67,8 +66,8 @@ RECORDS = {
     "tree": (lambda: parse_expr("A(q^7)/f1^-2 - a(q)"), None),
     "ring": (lambda: mod_ring(5), None),
     "context": (lambda: EvalContext(30, mod_ring(5), 3, 1), None),
-    "identity": (lambda: IdentityCheck(
-        "x", DissectionPipeline("f1", ((2, 1),)), "f2", modulus=5), None),
+    "identity": (lambda: IdentityCheck("x", "f1", "f2", modulus=5, step=2,
+                                       residue=1), None),
     "congruence": (lambda: CongruenceCheck("x", (2, 15), (9, 8), None, 5, 7),
                    None),
     "binomial": (lambda: BinomialCheck("x", (2, 3)), None),
@@ -104,12 +103,13 @@ class TestRecord:
         assert tree.replace(right=Euler(2)) == Add(QVar(), Euler(2))
         assert hash(tree.replace(right=Euler(2))) == hash(Add(QVar(), Euler(2)))
         check = IdentityCheck("x", "f1", "f1")
-        assert (check.modulus, check.order) == (0, 500)
+        assert (check.modulus, check.order, check.step,
+                check.residue) == (0, 500, 1, 0)
         assert check.replace(order=7) == IdentityCheck("x", "f1", "f1", 0, 7)
 
     @pytest.mark.parametrize("call", [
         lambda: IdentityCheck("x", "f1"),
-        lambda: IdentityCheck("x", "f1", "f1", 0, 500, 1),
+        lambda: IdentityCheck("x", "f1", "f1", 0, 500, 1, 0, 1),
         lambda: IdentityCheck("x", "f1", "f1", name="y"),
         lambda: IdentityCheck("x", "f1", "f1", mod=5),
         lambda: Add(QVar()),

@@ -16,7 +16,6 @@ from qseries.verify import (
     INDUCTION_NOTE,
     REGISTRY,
     CongruenceCheck,
-    DissectionPipeline,
     Families,
     IdentityCheck,
     run_check,
@@ -70,69 +69,62 @@ class TestRegistryShape:
 class TestPipeline:
     def test_single_extraction_step(self):
         ring = mod_ring(11)
-        pipe = DissectionPipeline("f7*f1^9", ((7, 4),))
-        got = run_pipeline(pipe, ring, 7 * 60 + 4)
+        got = run_pipeline("f7*f1^9", ring, 60, 7, 4)
         want = evaluate_text(
             "9*f7*f1^9 + 9*q*f7^5*f1^5 + 8*q^2*f7^9*f1", 60, ring)
-        assert got.first_mismatch(want) is None
+        assert got.order == 60 and got.first_mismatch(want) is None
 
     def test_seed_order_budget(self):
-        assert seed_order_for(200, ((7, 4),)) == 199 * 7 + 4 + 1
-        assert seed_order_for(10, ((3, 1), (3, 2))) == ((10 - 1) * 3 + 2 + 1 - 1) * 3 + 1 + 1
+        assert seed_order_for(200, 7, 4) == 199 * 7 + 4 + 1
+        assert seed_order_for(200) == 200
 
     def test_seed_is_evaluated_on_the_first_class(self, monkeypatch):
+        # steps (7, 4) then (7, 4) are the one class (49, 4 + 7*4)
         contexts = []
         real = verify_mod.evaluate
 
         def recorded(node, ctx):
-            contexts.append((ctx.step, ctx.residue))
+            contexts.append((ctx.order, ctx.step, ctx.residue))
             return real(node, ctx)
 
         monkeypatch.setattr(verify_mod, "evaluate", recorded)
-        pipe = DissectionPipeline("f7*f1^9", ((7, 4), (7, 4)))
-        got = run_pipeline(pipe, mod_ring(11), seed_order_for(40, pipe.steps))
-        assert contexts == [(7, 4)]
-        whole = evaluate_text("f7*f1^9", seed_order_for(40, pipe.steps),
+        got = run_pipeline("f7*f1^9", mod_ring(11), 40, 49, 32)
+        assert contexts == [(seed_order_for(40, 49, 32), 49, 32)]
+        whole = evaluate_text("f7*f1^9", seed_order_for(40, 49, 32),
                               mod_ring(11))
+        assert got == whole.extract(49, 32)
         assert got == whole.extract(7, 4).extract(7, 4)
 
-    def test_over_extraction_is_error(self):
-        from qseries.series import ValuationError
-        pipe = DissectionPipeline("f1", ((7, 4), (7, 4)))
-        with pytest.raises(ValuationError):
-            run_pipeline(pipe, mod_ring(11), 20)
-
     def test_two_step_pipeline_composes_with_linkwise_chain(self):
-        # running two extractions directly from the family seed must land
-        # on the same series the two chain links produce one at a time
+        # the class (49, 32) of the family seed must land on the series
+        # the two (7, 4) chain links produce one at a time
         ring = mod_ring(11)
-        pipe = DissectionPipeline("f7*f1^9", ((7, 4), (7, 4)))
-        got = run_pipeline(pipe, ring, seed_order_for(40, pipe.steps))
+        got = run_pipeline("f7*f1^9", ring, 40, 49, 32)
         want = evaluate_text(
             "9*f7*f1^9 + 5*q*f7^5*f1^5 + 6*q^2*f7^9*f1", 40, ring)
-        assert got.truncate(40).first_mismatch(want) is None
+        assert got.order == 40 and got.first_mismatch(want) is None
 
 
 class TestCheckIdentity:
     def test_classical_quotient_passes(self):
-        check = IdentityCheck(
-            "eq-j1", DissectionPipeline("1/f1", ((5, 4),)), "5*f5^5/f1^6")
+        check = IdentityCheck("eq-j1", "1/f1", "5*f5^5/f1^6", step=5,
+                              residue=4)
         rep = run_check(check, order=50)
         assert rep.status == "pass"
         assert rep.order == 50
 
     def test_perturbed_rhs_fails_at_index(self):
-        check = IdentityCheck(
-            "eq-j1", DissectionPipeline("1/f1", ((5, 4),)), "5*f5^5/f1^6")
+        check = IdentityCheck("eq-j1", "1/f1", "5*f5^5/f1^6", step=5,
+                              residue=4)
         rep = run_check(check, order=50, perturb=7)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == 7
 
     def test_wrong_coefficient_detected_where_introduced(self):
         # 50 instead of 49 on the q-term: first damage lands at index 1
-        check = IdentityCheck(
-            "bad-j2", DissectionPipeline("1/f1", ((7, 5),)),
-            "7*f7^3/f1^4 + 50*q*f7^7/f1^8")
+        check = IdentityCheck("bad-j2", "1/f1",
+                              "7*f7^3/f1^4 + 50*q*f7^7/f1^8", step=7,
+                              residue=5)
         rep = run_check(check, order=40)
         assert rep.status == "fail"
         assert rep.mismatch["index"] == 1
@@ -335,8 +327,7 @@ class TestRunItem:
     @pytest.mark.parametrize("item_id", [
         item.id for item in REGISTRY.values()
         if item.kind == "scan" or any(
-            isinstance(getattr(check, "lhs", None), DissectionPipeline)
-            for check in item.checks)])
+            getattr(check, "step", 1) > 1 for check in item.checks)])
     def test_perturbation_fails_class_built_checks(self, item_id):
         # scans read a class build, links evaluate their seeds on a class
         item = REGISTRY[item_id]
