@@ -46,7 +46,6 @@ from .qexpr import (
     tokenize,
 )
 from .verify import (
-    BinomialCheck,
     CongruenceCheck,
     Families,
     IdentityCheck,
@@ -69,7 +68,7 @@ __all__ = [
     "borwein_a", "regular_series", "bipartition_series",
     "EvalContext", "EvalError", "QSyntaxError", "tokenize", "parse",
     "parse_expr", "to_text", "evaluate", "evaluate_text",
-    "IdentityCheck", "CongruenceCheck", "BinomialCheck", "Families",
+    "IdentityCheck", "CongruenceCheck", "Families",
     "RegistryItem", "RegistryRun", "VerificationReport", "REGISTRY",
     "run_check",
     "run_pipeline", "run_item", "run_registry",

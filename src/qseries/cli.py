@@ -181,10 +181,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     # the largest seed order, sized before any row as the scans are above
     need = max((seed_order_for(args.order or check.order, check.step,
                                check.residue)
-                if isinstance(check, IdentityCheck)
-                else args.order or check.order
                 for item in items for check in item.checks
-                if not isinstance(check, CongruenceCheck)), default=0)
+                if isinstance(check, IdentityCheck)), default=0)
     if need > sys.maxsize:
         raise OverflowError(f"series order {need} is past the index range")
     # scans read only --count; every other item reads only --order

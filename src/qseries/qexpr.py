@@ -233,9 +233,23 @@ QExpr = Union[IntLit, QVar, Euler, CubicA, Septic, Theta, Neg, Add, Sub,
 # --------------------------------------------------------------------------
 
 class _Parser:
+    MAX_NESTING = 100  # levels of "(" and prefix "-" a text may nest
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.i = 0
+        self.levels: list[int | None] = []  # open "(" positions; None: "-"
+
+    def nest(self, pos: int | None) -> None:
+        """Open one nesting level, a "(" at pos or a prefix "-" (None)."""
+        self.levels.append(pos)
+        if len(self.levels) > self.MAX_NESTING:
+            raise self.too_deep()
+
+    def too_deep(self) -> QSyntaxError:
+        """The error naming the outermost "(" still open (0 if none)."""
+        pos = next((p for p in self.levels if p is not None), 0)
+        return QSyntaxError("expression nested too deeply", pos)
 
     def peek(self) -> Token:
         return self.tokens[self.i]
@@ -276,8 +290,11 @@ class _Parser:
 
     def parse_unary(self) -> QExpr:
         if self.at_op("-"):
+            self.nest(None)
             self.advance()
-            return Neg(self.parse_unary())
+            node = Neg(self.parse_unary())
+            self.levels.pop()
+            return node
         return self.parse_power()
 
     def parse_power(self) -> QExpr:
@@ -324,9 +341,10 @@ class _Parser:
                 self.expect("OP", ")")
                 return Theta(a, b)
         if self.at_op("("):
-            self.advance()
+            self.nest(self.advance().pos)
             node = self.parse_expr()
             self.expect("OP", ")")
+            self.levels.pop()
             return node
         raise QSyntaxError(
             "expected an integer, 'q', 'f<k>', 'a(q^k)', 'A', 'B', 'C', "
@@ -356,19 +374,13 @@ class _Parser:
 
 
 def parse(tokens: list[Token]) -> QExpr:
-    """Parse a token stream into a syntax tree.  The parser recurses
-    once per nesting level; past the interpreter's limit the error names
-    the outermost parenthesis still open there (position 0 if none)."""
+    """Parse a token stream into a syntax tree; past MAX_NESTING levels,
+    or the interpreter's recursion limit, raise :meth:`_Parser.too_deep`."""
     parser = _Parser(tokens)
     try:
         node = parser.parse_expr()
     except RecursionError:
-        depth = pos = 0
-        for tok in tokens[:parser.i]:
-            if tok.text == "(" and not depth:
-                pos = tok.pos
-            depth += (tok.text == "(") - (tok.text == ")")
-        raise QSyntaxError("expression nested too deeply", pos) from None
+        raise parser.too_deep() from None
     tok = parser.peek()
     if tok.kind != "END":
         raise QSyntaxError(f"unexpected trailing input {tok.text!r}", tok.pos)

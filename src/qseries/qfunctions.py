@@ -73,14 +73,15 @@ def _cube_terms(k: int, order: int) -> Iterator[tuple[int, int]]:
 
 
 def _lattice_terms(k: int, order: int) -> Iterator[tuple[int, int]]:
-    """The terms q^(k(m^2+mn+n^2)) of a(q^k) below order, one per lattice
-    point: m^2+mn+n^2 >= 3*max(|m|,|n|)^2/4 bounds the box of points."""
-    box = isqrt(4 * ((order - 1) // k) // 3) + 1
-    for m in range(-box, box + 1):
-        for n in range(-box, box + 1):
-            e = k * (m * m + m * n + n * n)
-            if e < order:
-                yield e, 1
+    """The terms of a(q^k) = 1 + 6 sum_{m>=1, n>=0} q^(k(m^2+mn+n^2)) below
+    order: the six lattice rotations fix m^2+mn+n^2 and tile Z^2 - {0}."""
+    top = (order - 1) // k
+    yield 0, 1
+    for m in range(1, isqrt(top) + 1):
+        n = 0
+        while (e := m * m + m * n + n * n) <= top:
+            yield k * e, 6
+            n += 1
 
 
 def euler_f(k: int, order: int, ring: CoefficientRing = EXACT) -> TruncatedSeries:

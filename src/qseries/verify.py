@@ -4,9 +4,9 @@ Each registry item is a declarative record: a series identity (whose
 left side may be read on one residue class, a dissection link), a whole
 chain of such links, a modular coefficient scan over an arithmetic
 progression, or the prime-power coefficient congruence f_p = f_1^p
-(mod p).  Running an item produces a :class:`VerificationReport` stating
-how far equality was checked and, on failure, the first mismatching
-coefficient.
+(mod p), one identity link per prime.  Running an item produces a
+:class:`VerificationReport` stating how far equality was checked and,
+on failure, the first mismatching coefficient.
 
 Only the residue class a check reads is computed: a dissection link
 (p, r) evaluates its seed on coefficients r, r + p, ... alone.  A run
@@ -14,8 +14,8 @@ plans its scans up front in one :class:`Families` store, which builds
 each bipartition family once, on the one class its scans read, to the
 deepest order they need; the store lives as long as the run.  A scan
 still compares the family's own coefficients, read off that class.
-Every check kind runs through one comparison (:func:`run_check` for a
-single check, :func:`run_item` for a registry item).
+Identities and scans alike run through one comparison
+(:func:`run_check` for one check, :func:`run_item` for a registry item).
 
 Chains deserve a note: iterating a dissection k times directly would
 need a seed series of order ~ final_order * p^k, which is astronomically
@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import time
 from math import gcd
-from typing import Callable, Iterable, Iterator, Union
+from typing import Iterable, Union
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
-from .qfunctions import bipartition_series, euler_f
-from .series import EXACT, Record, SeriesError, TruncatedSeries, mod_ring
+from .qfunctions import bipartition_series
+from .series import (EXACT, CoefficientRing, Record, SeriesError,
+                     TruncatedSeries, mod_ring)
 
 CHAIN_NOTE = "chain verified link-wise"
 INDUCTION_NOTE = "induction-link verified"
@@ -54,6 +55,12 @@ class IdentityCheck(Record):
 
     __slots__ = ("name", "lhs", "rhs", "modulus", "order", "step", "residue")
     _defaults = {"modulus": 0, "order": 500, "step": 1, "residue": 0}
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        _require_in_range(order=self.order)
+        EvalContext(self.order, CoefficientRing(self.modulus), self.step,
+                    self.residue)
 
 
 class CongruenceCheck(Record):
@@ -75,18 +82,12 @@ class CongruenceCheck(Record):
                     f"{side} progression needs step >= 1, offset >= 0")
 
 
-class BinomialCheck(Record):
-    """Claim: f_p = f_1^p (mod p) to the given order, for each prime."""
-
-    __slots__ = ("name", "primes", "order")
-    _defaults = {"order": 500}
-
-
-Check = Union[IdentityCheck, CongruenceCheck, BinomialCheck]
+Check = Union[IdentityCheck, CongruenceCheck]
 
 
 class RegistryItem(Record):
-    """A registry entry; kind is "identity", "chain", "scan" or "binomial"."""
+    """A registry entry; kind is "identity", "chain", "scan" or
+    "binomial" (eq-k1, whose checks are one identity link per prime)."""
 
     __slots__ = ("id", "kind", "description", "tags", "checks", "note")
     _defaults = {"note": None}
@@ -236,87 +237,75 @@ class Families:
                 for a, b in progressions]
 
 
-# A check yields (lhs, rhs, extra) pairs of series; extra(index) gives the
-# fields a mismatch at that coefficient index adds to the report.
-Pair = tuple[TruncatedSeries, TruncatedSeries, Callable[[int], dict]]
+def _pair(check: Check, families: Families, order: int | None = None,
+          count: int | None = None
+          ) -> tuple[TruncatedSeries, TruncatedSeries]:
+    """The two series a check claims equal.
 
-
-def _pairs(check: Check, families: Families, order: int | None = None,
-           count: int | None = None) -> Iterator[Pair]:
-    """The series pairs a check claims equal, built lazily, one at a time.
-
-    An identity yields its two sides, the left read on its class; a scan
-    yields the left progression of its family, read from ``families``,
-    against the right one times the multiplier (or zero), coefficient n
-    for n below the count; the binomial check yields f_p against f_1^p
-    for each prime in turn.
+    An identity gives its two sides, the left read on its class; a scan
+    gives the left progression of its family, read from ``families``,
+    and the right one times the multiplier (or zero), coefficient n for
+    n below the count.
     """
     if isinstance(check, IdentityCheck):
         n = order if order is not None else check.order
         ring = mod_ring(check.modulus) if check.modulus else EXACT
-        lhs = run_pipeline(check.lhs, ring, n, check.step, check.residue,
-                           families.records)
-        rhs = evaluate(parse_expr(check.rhs),
-                       EvalContext(n, ring, records=families.records))
-        yield lhs, rhs, lambda index: {}
-    elif isinstance(check, CongruenceCheck):
-        cnt = count if count is not None else check.count
-        lhs, *rhs = families.read(check, cnt)
-        a1, b1 = check.lhs
-        yield (lhs, (rhs[0].scalar_mul(check.multiplier) if rhs
-                     else TruncatedSeries.zero(lhs.ring, cnt)),
-               lambda index: {"coefficient_index": a1 * index + b1})
-    else:
-        n = order if order is not None else check.order
-        for p in check.primes:
-            ring = mod_ring(p)
-            yield (euler_f(p, n, ring), euler_f(1, n, ring) ** p,
-                   lambda index, p=p: {"prime": p})
+        return (run_pipeline(check.lhs, ring, n, check.step, check.residue,
+                             families.records),
+                evaluate(parse_expr(check.rhs),
+                         EvalContext(n, ring, records=families.records)))
+    cnt = count if count is not None else check.count
+    lhs, *rhs = families.read(check, cnt)
+    return lhs, (rhs[0].scalar_mul(check.multiplier) if rhs
+                 else TruncatedSeries.zero(lhs.ring, cnt))
 
 
 def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
              note: str | None = None, **settings) -> VerificationReport:
-    """Compare the series pairs of each check in turn, coefficient by
+    """Compare the series pair of each check in turn, coefficient by
     coefficient, and report the first mismatch.
 
-    ``settings`` (families, order, count) go to :func:`_pairs`.  A pair
+    ``settings`` (families, order, count) go to :func:`_pair`.  A pair
     is compared on the order both sides reach; the reported order is the
     smallest such order, or the failing pair's.  ``perturb`` adds one to
     that coefficient of every right-hand side, so a sound check fails
     there; it must lie below the compared order.  An evaluation error is
-    reported as a mismatch at index -1.  When there are several checks,
-    a mismatch names the failing one as ``link``.
+    reported as a mismatch at index -1.  A scan's mismatch adds the
+    family's ``coefficient_index``; when there are several checks, a
+    mismatch names the failing one as ``link``.
     """
     t0 = time.perf_counter()
     checked = None
     mismatch = None
     for check in checks:
         try:
-            for lhs, rhs, extra in _pairs(check, **settings):
-                n = min(lhs.order, rhs.order)
-                if perturb is not None:
-                    if perturb >= n:
-                        raise ValueError(f"perturb must be below the compared "
-                                         f"order {n}, got {perturb}")
-                    coeffs = list(rhs.coeffs)
-                    coeffs[perturb] += 1
-                    rhs = TruncatedSeries(rhs.ring, coeffs)
-                diff = lhs.first_mismatch(rhs)
-                if diff is not None:
-                    index, lv, rv = diff
-                    mismatch = {"index": index, "lhs": lv, "rhs": rv,
-                                **extra(index)}
-                    checked = n
-                    break
-                checked = n if checked is None else min(checked, n)
+            lhs, rhs = _pair(check, **settings)
+            n = min(lhs.order, rhs.order)
+            if perturb is not None:
+                if perturb >= n:
+                    raise ValueError(f"perturb must be below the compared "
+                                     f"order {n}, got {perturb}")
+                coeffs = list(rhs.coeffs)
+                coeffs[perturb] += 1
+                rhs = TruncatedSeries(rhs.ring, coeffs)
+            diff = lhs.first_mismatch(rhs)
         except (SeriesError, QSyntaxError, EvalError) as exc:
             mismatch = {"index": -1, "lhs": None, "rhs": None,
                         "error": str(exc)}
             checked = 0
-        if mismatch is not None:
-            if len(checks) > 1:
-                mismatch["link"] = check.name
-            break
+        else:
+            if diff is None:
+                checked = n if checked is None else min(checked, n)
+                continue
+            index, lv, rv = diff
+            mismatch = {"index": index, "lhs": lv, "rhs": rv}
+            if isinstance(check, CongruenceCheck):
+                a, b = check.lhs
+                mismatch["coefficient_index"] = a * index + b
+            checked = n
+        if len(checks) > 1:
+            mismatch["link"] = check.name
+        break
     millis = (time.perf_counter() - t0) * 1000.0
     return VerificationReport(name, "pass" if mismatch is None else "fail",
                               checked or 0, mismatch, millis, note)
@@ -325,8 +314,8 @@ def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
 def run_check(check: Check, order: int | None = None,
               count: int | None = None,
               perturb: int | None = None) -> VerificationReport:
-    """Run one check of any kind on its own; ``order`` applies to an
-    identity or binomial check, ``count`` to a scan."""
+    """Run one check, an identity or a scan, on its own; ``order``
+    applies to an identity, ``count`` to a scan."""
     _require_in_range(order=order, count=count, perturb=perturb)
     return _compare(check.name, (check,), perturb,
                     families=Families((check,), count), order=order,
@@ -421,7 +410,8 @@ def _build_registry() -> dict[str, RegistryItem]:
         "eq-k1", "binomial",
         "prime-power coefficient congruence f_p = f_1^p (mod p)",
         ("classical",),
-        (BinomialCheck("eq-k1", (2, 3, 5, 7, 11, 13, 17), order=500),)))
+        tuple(IdentityCheck(f"eq-k1/p={p}", f"f{p}", f"f1^{p}", p)
+              for p in (2, 3, 5, 7, 11, 13, 17))))
     items.append(_identity(
         "eq-j1", "partition numbers on 5n+4 as an eta quotient",
         "1/f1", "5*f5^5/f1^6", step=5, residue=4, tags=("classical",)))

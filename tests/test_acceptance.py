@@ -125,10 +125,9 @@ def test_sensitivity_controls():
         else:
             kwargs["order"] = 50
         rep = run_item(item, **kwargs)
-        # scans name the coefficient, eq-k1 the prime, multi-check items the link
+        # scans name the coefficient, multi-check items (eq-k1 too) the link
         keys = ["index", "lhs", "rhs"]
-        keys += {"scan": ["coefficient_index"], "binomial": ["prime"]}.get(
-            item.kind, [])
+        keys += ["coefficient_index"] if item.kind == "scan" else []
         keys += ["link"] if len(item.checks) > 1 else []
         if (rep.status != "fail" or rep.mismatch.get("index") != 2
                 or list(rep.mismatch) != keys):

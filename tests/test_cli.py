@@ -18,6 +18,7 @@ from qseries.cli import (
 from qseries.qexpr import to_text
 from qseries.qfunctions import euler_f
 from qseries.series import mod_ring
+from qseries.verify import select_items
 
 from test_qexpr import _random_tree
 
@@ -247,8 +248,8 @@ _INTEGER_KINDS = [
     lambda rng: str(10 ** rng.randint(30, 40) + rng.randint(0, 9)),  # huge
 ]
 _FILTERS = ["eq-j1", "eq-4w", "eq-2k", "eq-b52", "lemma-0.2", "eq-k1",
-            "b711-chain-01", "b2711-eq11", "b215-b1", "classical",
-            "no-such-item", "é"]
+            "b711-chain-01", "b2711-eq11", "b215-b1", "b2711-m4", "thm-y-m0",
+            "classical", "no-such-item", "é"]
 
 
 def _integer(rng, most=None):
@@ -257,6 +258,34 @@ def _integer(rng, most=None):
             and int(text) > most:
         text = str(most)
     return text
+
+
+def _count(rng):
+    """A scan count: one of the integer kinds, at most 50, or a count
+    past the scan cap, from SCAN_ORDER_CAP + 1 to far beyond it."""
+    if rng.randrange(3):
+        return _integer(rng, 50)
+    return str(SCAN_ORDER_CAP + rng.choice([1, 2, 10 ** 6, 10 ** 40]))
+
+
+def _last(argv, flag):
+    """The value of the last occurrence of flag."""
+    return argv[len(argv) - argv[::-1].index(flag)]
+
+
+def _scan_past_cap(argv):
+    """Whether the command line asks a scan for a count past the scan
+    cap: scan's count operand, or verify's last --count when its last
+    --filter selects a scan."""
+    if argv[0] == "scan":
+        text = argv[6]
+    elif argv[0] == "verify" and "--count" in argv and any(
+            item.kind == "scan"
+            for item in select_items(_last(argv, "--filter"))):
+        text = _last(argv, "--count")
+    else:
+        return False
+    return bool(re.fullmatch(r"[0-9]+", text)) and int(text) > SCAN_ORDER_CAP
 
 
 def _options(rng, flags):
@@ -295,7 +324,7 @@ def _fuzz_argv(rng):
     if command == "verify":
         return ["verify", "--filter", rng.choice(_FILTERS),
                 *_options(rng, [("--order", _integer),
-                                ("--count", lambda rng: _integer(rng, 50)),
+                                ("--count", _count),
                                 ("--filter", lambda rng: rng.choice(_FILTERS)),
                                 fmt])]
     # valid operands, one or two of them then redrawn from the kinds
@@ -305,7 +334,7 @@ def _fuzz_argv(rng):
     operands = [str(v) for v in operands]
     for _ in range(rng.randrange(3)):
         i = rng.randrange(6)
-        operands[i] = _integer(rng, 50 if i == 5 else None)
+        operands[i] = _count(rng) if i == 5 else _integer(rng)
     return ["scan", *operands, *_options(rng, [fmt])]
 
 
@@ -315,7 +344,9 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
     # failure, and never in a traceback.  Refusals come first: an integer
     # in other digits exits 2, expand evaluates no order below 1, verify
     # runs nothing past the index range, no family is built past the
-    # scan cap, and verify exits 3 exactly when its filter matches nothing
+    # scan cap, and verify exits 3 exactly when its filter matches nothing.
+    # A count past the cap, on a command line that selects a scan and is
+    # not refused for bad input, exits 4 with no family built.
     import qseries.verify as verify_mod
 
     def bounded(module, name, position, least, most):
@@ -330,13 +361,18 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
 
     bounded(cli, "EvalContext", 0, 1, float("inf"))
     bounded(verify_mod, "run_pipeline", 2, 1, sys.maxsize)
-    bounded(verify_mod, "euler_f", 1, 1, sys.maxsize)
     bounded(verify_mod, "bipartition_series", 2, 1, SCAN_ORDER_CAP)
+    built = []
+    build = verify_mod.bipartition_series
+    monkeypatch.setattr(verify_mod, "bipartition_series", lambda *args:
+                        built.append(args) or build(*args))
+    over_cap = set()
     monkeypatch.delenv("QSERIES_DEFAULT_ORDER", raising=False)
     rng = random.Random(20191022)
     seen = set()
     for _ in range(400):
         argv = _fuzz_argv(rng)
+        built.clear()
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -349,9 +385,11 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
         if set(argv) & set(_NOT_ASCII_INTEGERS):
             assert code == EXIT_BAD_INPUT, context
         if argv[0] == "verify" and code != EXIT_BAD_INPUT:
-            last = argv[len(argv) - argv[::-1].index("--filter")]
             assert (code == EXIT_UNKNOWN_FILTER) != bool(
-                verify_mod.select_items(last)), context
+                select_items(_last(argv, "--filter"))), context
+        if _scan_past_cap(argv) and code != EXIT_BAD_INPUT:
+            assert code == EXIT_SCAN_BUDGET and not built, context
+            over_cap.add(argv[0])
         if code == EXIT_UNKNOWN_FILTER:
             assert out == "" and err.startswith(
                 "warning: no registry items match"), context
@@ -361,6 +399,7 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
                 context
         seen.add((argv[0], code))
     assert len(seen) == 10
+    assert over_cap == {"verify", "scan"}
 
 
 class TestVerify:

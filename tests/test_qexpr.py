@@ -128,6 +128,24 @@ class TestParse:
     def test_tokens_entry_point(self):
         assert parse(tokenize("1+q")) == Add(IntLit(1), QVar())
 
+    @pytest.mark.parametrize("frames", [0, 400])
+    @pytest.mark.parametrize("text, pos", [
+        (lambda d: "(" * d + "q" + ")" * d, 0),
+        (lambda d: "-" * d + "q", 0),
+        (lambda d: "f1*-" + "(" * (d - 1) + "q" + ")" * (d - 1), 4)],
+        ids=["parentheses", "prefix-minus", "both-under-a-product"])
+    def test_nesting_limit_is_a_property_of_the_text(self, text, pos,
+                                                     frames):
+        # each "(" and each prefix "-" is one level; 100 parse from
+        # wherever the caller stands, and 101 name the outermost "("
+        def under(frames, text):
+            return under(frames - 1, text) if frames else parse_expr(text)
+
+        assert under(frames, text(100)) == parse_expr(text(100))
+        with pytest.raises(QSyntaxError, match=re.escape(
+                f"expression nested too deeply (at position {pos})")):
+            under(frames, text(101))
+
     @pytest.mark.parametrize("op", ["+", "*"])
     def test_deep_tree_hash(self, op):
         # each node stores its hash, computed from its children's, so a

@@ -27,8 +27,8 @@ from qseries.series import (
     ValuationError,
     mod_ring,
 )
-from qseries.verify import (BinomialCheck, CongruenceCheck, IdentityCheck,
-                            RegistryItem, RegistryRun, VerificationReport)
+from qseries.verify import (CongruenceCheck, IdentityCheck, RegistryItem,
+                            RegistryRun, VerificationReport)
 
 from conftest import random_series
 
@@ -70,7 +70,6 @@ RECORDS = {
                                        residue=1), None),
     "congruence": (lambda: CongruenceCheck("x", (2, 15), (9, 8), None, 5, 7),
                    None),
-    "binomial": (lambda: BinomialCheck("x", (2, 3)), None),
     "item": (lambda: RegistryItem("x", "scan", "d", ("t",), ()), None),
     "report": (lambda: VerificationReport("x", "pass", 10, None, 1.5), None),
     "run": (lambda: RegistryRun(), None),
@@ -263,9 +262,8 @@ class TestPower:
     def test_power_route_counts_each_products_cost(self, monkeypatch, atom,
                                                    n, p, e, by_base):
         # Each product also costs its call and the reduction of what it
-        # keeps, once per product: f_1^p in Z/p (the binomial item's
-        # powers) squares, where e - 1 products by f_1 took two to three
-        # times as long; Jacobi's cube^6 at N = 97,159 still takes its 5
+        # keeps, once per product: f_1^p in Z/p squares, where e - 1
+        # products by f_1 took two to three times as long; Jacobi's cube^6 at N = 97,159 still takes its 5
         # products by the cube, six times faster than squaring.
         products = []
         real = TruncatedSeries.__mul__

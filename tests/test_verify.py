@@ -200,11 +200,61 @@ class TestCheckCongruence:
 
 
 def test_binomial_check_runs_on_its_own():
-    check = REGISTRY["eq-k1"].checks[0]
+    check = REGISTRY["eq-k1"].checks[0]  # the p = 2 link
     assert run_check(check, order=50).status == "pass"
     rep = run_check(check, order=50, perturb=4)
-    assert (rep.status, rep.mismatch["index"], rep.mismatch["prime"]) == \
-        ("fail", 4, 2)
+    assert (rep.status, rep.mismatch["index"]) == ("fail", 4)
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17)
+
+
+class TestBinomialLinks:
+    """eq-k1, f_p = f_1^p (mod p), is one identity link per prime."""
+
+    def test_one_link_per_prime(self):
+        item = REGISTRY["eq-k1"]
+        assert item.kind == "binomial"
+        assert item.checks == tuple(
+            IdentityCheck(f"eq-k1/p={p}", f"f{p}", f"f1^{p}", p, 500)
+            for p in PRIMES)
+
+    @pytest.mark.parametrize("order", [500, 600])
+    def test_link_sides_are_f_p_and_the_power_of_f_1(self, order):
+        for check, p in zip(REGISTRY["eq-k1"].checks, PRIMES):
+            ring = mod_ring(p)
+            assert run_pipeline(check.lhs, ring, order).coeffs == \
+                euler_f(p, order, ring).coeffs
+            assert run_pipeline(check.rhs, ring, order).coeffs == \
+                (euler_f(1, order, ring) ** p).coeffs
+
+    def test_a_failing_prime_is_named_by_its_link(self):
+        rep = run_item(REGISTRY["eq-k1"], order=50, perturb=4)
+        assert (rep.status, rep.order) == ("fail", 50)
+        assert rep.mismatch == {"index": 4, "lhs": 1, "rhs": 0,
+                                "link": "eq-k1/p=2"}
+
+    @pytest.mark.parametrize("order", [None, 600])
+    def test_report_fields_do_not_move(self, order):
+        rep = run_item(REGISTRY["eq-k1"], order=order).as_dict()
+        del rep["millis"]
+        assert rep == {"id": "eq-k1", "status": "pass",
+                       "order": order or 500, "mismatch": None}
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"step": 0}, "step must be positive, got 0"),
+    ({"step": -2}, "step must be positive, got -2"),
+    ({"step": 3, "residue": 3}, "residue must lie in [0, 3), got 3"),
+    ({"residue": -1}, "residue must lie in [0, 1), got -1"),
+    ({"modulus": 1}, "modulus must be 0 or >= 2, got 1"),
+    ({"modulus": -5}, "modulus must be 0 or >= 2, got -5"),
+    ({"order": 0}, "order must be at least 1, got 0"),
+], ids=["step-0", "step-negative", "residue-at-step", "residue-negative",
+        "modulus-1", "modulus-negative", "order-0"])
+def test_identity_check_rejects_a_bad_record_when_built(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IdentityCheck("x", "f1", "f1", **fields)
 
 
 @pytest.fixture
