@@ -9,8 +9,8 @@ Three subcommands:
 
 Exit codes are stable: 0 success, 1 verification failures, 2 bad input
 (an out-of-range option or an expression parse/evaluation error), 3
-unknown registry filter, 4 over budget: a scan past SCAN_ORDER_CAP, or
-an order too large to allocate or to index.  The environment
+unknown registry filter, 4 over budget: a plan verify.Families refuses,
+or an order too large to allocate or to index.  The environment
 variable QSERIES_DEFAULT_ORDER overrides the built-in default order of
 500; a value that is not a positive integer is ignored with a warning.
 Every integer, in an option, a positional or that variable, is read by
@@ -27,16 +27,7 @@ import sys
 
 from .qexpr import EvalContext, EvalError, QSyntaxError, evaluate, parse_expr
 from .series import EXACT, SeriesError, mod_ring
-from .verify import (CongruenceCheck, Families, IdentityCheck, run_item,
-                     seed_order_for, select_items)
-
-# A scan needs the family series out to step*(count - 1) + offset + 1
-# coefficients.  Only one residue class of them is kept, but building it
-# still multiplies (and for some families divides) series of that whole
-# order, so the cap bounds the whole order: past it the build stops
-# being a reasonable in-memory computation.  It bounds both `scan` and
-# the scans of `verify --count`.
-SCAN_ORDER_CAP = 2_000_000
+from .verify import CongruenceCheck, Families, run_item, select_items
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -74,17 +65,6 @@ def _bad_option(flag: str, value: int | None, least: int) -> bool:
     if value is None or value >= least:
         return False
     print(f"error: {flag} must be >= {least}, got {value}", file=sys.stderr)
-    return True
-
-
-def _over_scan_cap(families: Families) -> bool:
-    """Report a planned family series order above SCAN_ORDER_CAP on
-    stderr."""
-    need = max((order for order, _, _ in families.plans.values()), default=0)
-    if need <= SCAN_ORDER_CAP:
-        return False
-    print(f"error: scan needs series order {need}, above the cap of "
-          f"{SCAN_ORDER_CAP}; lower the count", file=sys.stderr)
     return True
 
 
@@ -175,16 +155,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_UNKNOWN_FILTER
     families = Families((check for item in items for check in item.checks),
-                        args.count)
-    if _over_scan_cap(families):
-        return EXIT_SCAN_BUDGET
-    # the largest seed order, sized before any row as the scans are above
-    need = max((seed_order_for(args.order or check.order, check.step,
-                               check.residue)
-                for item in items for check in item.checks
-                if isinstance(check, IdentityCheck)), default=0)
-    if need > sys.maxsize:
-        raise OverflowError(f"series order {need} is past the index range")
+                        args.count, args.order)
     # scans read only --count; every other item reads only --order
     for flag, value, scans_read in (("--order", args.order, False),
                                     ("--count", args.count, True)):
@@ -222,10 +193,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     check = CongruenceCheck("scan", (s, t), (p, r), None, m, count)
-    families = Families((check,))
-    if _over_scan_cap(families):
-        return EXIT_SCAN_BUDGET
-    series, = families.read(check, count)
+    series, = Families((check,)).read(check, count)
     residues = list(series.coeffs)
     all_zero = all(v == 0 for v in residues)
     if args.format == "json":
@@ -251,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return command(args)
     except (OverflowError, MemoryError) as exc:
-        # an order past the index range, or one too large to allocate
+        # a plan Families refuses, or an order too large to allocate
         reason = ": ".join(filter(None, (type(exc).__name__, str(exc))))
         print(f"error: order too large to compute ({reason})", file=sys.stderr)
         return EXIT_SCAN_BUDGET

@@ -30,6 +30,7 @@ verified".
 
 from __future__ import annotations
 
+import sys
 import time
 from math import gcd
 from typing import Iterable, Union
@@ -41,6 +42,13 @@ from .series import (EXACT, CoefficientRing, Record, SeriesError,
 
 CHAIN_NOTE = "chain verified link-wise"
 INDUCTION_NOTE = "induction-link verified"
+
+# A scan needs the family series out to step*(count - 1) + offset + 1
+# coefficients.  Only one residue class of them is kept, but building it
+# still multiplies (and for some families divides) series of that whole
+# order, so the cap bounds the whole order: past it the build stops
+# being a reasonable in-memory computation.
+SCAN_ORDER_CAP = 2_000_000
 
 
 # --------------------------------------------------------------------------
@@ -75,6 +83,12 @@ class CongruenceCheck(Record):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        s, t = self.family
+        if s <= 1 or t <= 1:
+            raise ValueError(
+                f"regularity indices must exceed 1, got ({s}, {t})")
+        mod_ring(self.modulus)
+        _require_in_range(count=self.count)
         for side, (step, offset) in (("left", self.lhs),
                                      ("right", self.rhs or (1, 0))):
             if step < 1 or offset < 0:
@@ -170,7 +184,7 @@ def _progressions(check: CongruenceCheck) -> list[Progression]:
 def _reach(progressions: list[Progression], count: int) -> int:
     """Family series order the progressions need: one past the highest
     coefficient index they reach for n below the count."""
-    return max(a * (count - 1) + b + 1 for a, b in progressions)
+    return max(seed_order_for(count, a, b) for a, b in progressions)
 
 
 def _class_of(progressions: list[Progression]) -> tuple[int, int]:
@@ -185,30 +199,42 @@ def _class_of(progressions: list[Progression]) -> tuple[int, int]:
 class Families:
     """The bipartition family series one run reads, each built once.
 
-    Planned from the run's checks (with the run's count override): for
+    Planned from the run's checks (with the run's count and order): for
     each family (s, t, modulus) its scans read, ``plans`` holds the
     deepest order they need and the one class (step, residue) holding
-    every progression they read.  The first read of a family builds that
-    class to that order (:func:`family_series`); each read slices its
-    check's progressions off it.
+    every progression they read.  A plan past SCAN_ORDER_CAP, or a seed
+    order past the index range, raises OverflowError.  The first read of
+    a family builds that class to that order (:func:`family_series`);
+    each read slices its check's progressions off it.
 
     ``records`` is the run's memo of planned records, which every
     identity evaluated in the run shares (:class:`EvalContext`).
     """
 
-    def __init__(self, checks: Iterable[Check], count: int | None = None):
+    def __init__(self, checks: Iterable[Check], count: int | None = None,
+                 order: int | None = None):
         needs: dict[tuple[int, int, int], tuple[int, list[Progression]]] = {}
+        seed = 0
         for check in checks:
             if isinstance(check, CongruenceCheck):
                 key = (*check.family, check.modulus)
-                order, seen = needs.get(key, (0, []))
+                need, seen = needs.get(key, (0, []))
                 progressions = _progressions(check)
                 cnt = count if count is not None else check.count
-                needs[key] = (max(order, _reach(progressions, cnt)),
+                needs[key] = (max(need, _reach(progressions, cnt)),
                               seen + progressions)
+            else:
+                seed = max(seed, seed_order_for(order or check.order,
+                                                check.step, check.residue))
         self.plans: dict[tuple[int, int, int], tuple[int, int, int]] = {
-            key: (order, *_class_of(seen))
-            for key, (order, seen) in needs.items()}
+            key: (need, *_class_of(seen))
+            for key, (need, seen) in needs.items()}
+        need = max((plan[0] for plan in self.plans.values()), default=0)
+        if need > SCAN_ORDER_CAP:
+            raise OverflowError(f"scan needs series order {need}, above the "
+                                f"cap of {SCAN_ORDER_CAP}; lower the count")
+        if seed > sys.maxsize:
+            raise OverflowError(f"series order {seed} is past the index range")
         self._built: dict[tuple[int, int, int], TruncatedSeries] = {}
         self.records: dict = {}
 
@@ -318,7 +344,7 @@ def run_check(check: Check, order: int | None = None,
     applies to an identity, ``count`` to a scan."""
     _require_in_range(order=order, count=count, perturb=perturb)
     return _compare(check.name, (check,), perturb,
-                    families=Families((check,), count), order=order,
+                    families=Families((check,), count, order), order=order,
                     count=count)
 
 
@@ -331,12 +357,12 @@ def run_item(item: RegistryItem, order: int | None = None,
     A multi-link item passes only if every link passes; the reported
     order is the smallest order any link achieved, and a failure carries
     the failing link's name.  Scans read ``families``, the run's family
-    store, planned with the same count; without one the item plans its
-    own.
+    store, planned with the same count and order; without one the item
+    plans its own.
     """
     _require_in_range(order=order, count=count, perturb=perturb)
     if families is None:
-        families = Families(item.checks, count)
+        families = Families(item.checks, count, order)
     return _compare(item.id, item.checks, perturb, item.note,
                     families=families, order=order, count=count)
 
@@ -620,7 +646,7 @@ def run_registry(filter_text: str | None = None, order: int | None = None,
         run.warnings.append(f"no registry items match filter {filter_text!r}")
         return run
     families = Families((check for item in items for check in item.checks),
-                        count)
+                        count, order)
     for item in items:
         run.reports.append(run_item(item, order=order, count=count,
                                     families=families))

@@ -12,13 +12,12 @@ from qseries.cli import (
     EXIT_SCAN_BUDGET,
     EXIT_UNKNOWN_FILTER,
     EXIT_VERIFY_FAILED,
-    SCAN_ORDER_CAP,
     main,
 )
 from qseries.qexpr import to_text
 from qseries.qfunctions import euler_f
 from qseries.series import mod_ring
-from qseries.verify import select_items
+from qseries.verify import SCAN_ORDER_CAP, select_items
 
 from test_qexpr import _random_tree
 

@@ -257,6 +257,63 @@ def test_identity_check_rejects_a_bad_record_when_built(fields, message):
         IdentityCheck("x", "f1", "f1", **fields)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"family": (1, 15)}, "regularity indices must exceed 1, got (1, 15)"),
+    ({"family": (2, 0)}, "regularity indices must exceed 1, got (2, 0)"),
+    ({"modulus": 1}, "modulus must be >= 2, got 1"),
+    ({"modulus": 0}, "modulus must be >= 2, got 0"),
+    ({"count": 0}, "count must be at least 1, got 0"),
+], ids=["s-1", "t-0", "modulus-1", "modulus-0", "count-0"])
+def test_congruence_check_rejects_a_bad_record_when_built(fields, message):
+    record = {"name": "x", "family": (2, 15), "lhs": (9, 8), "rhs": None,
+              "modulus": 5, "count": 10, **fields}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CongruenceCheck(**record)
+
+
+@pytest.fixture
+def builds_nothing(monkeypatch):
+    """Fail any family build or expression parse, so that a plan the
+    budget should refuse allocates nothing when it is not refused."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built past the budget")
+
+    monkeypatch.setattr(verify_mod, "bipartition_series", refuse)
+    monkeypatch.setattr(verify_mod, "parse_expr", refuse)
+
+
+class TestBudget:
+    """Families refuses an over-budget plan before anything is built, for
+    every library entry point."""
+
+    # B_{27,11}(243n + 201) for n below 10**6 needs order 242,999,959
+    @pytest.mark.parametrize("run", [
+        lambda: run_check(CongruenceCheck("x", (27, 11), (243, 201), None,
+                                          11, 10 ** 6)),
+        lambda: run_item(REGISTRY["b2711-m5"], count=10 ** 6),
+        lambda: run_registry("b2711", count=10 ** 6),
+    ], ids=["run_check", "run_item", "run_registry"])
+    def test_scan_past_the_cap(self, builds_nothing, run):
+        message = (f"scan needs series order 242999959, above the cap of "
+                   f"{verify_mod.SCAN_ORDER_CAP}; lower the count")
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            run()
+
+    def test_seed_past_the_index_range(self, builds_nothing):
+        seed = seed_order_for(10 ** 30, 5, 4)
+        with pytest.raises(OverflowError, match=f"^series order {seed} is "
+                                                "past the index range$"):
+            run_item(REGISTRY["eq-j1"], order=10 ** 30)
+
+    def test_cap_boundary(self):
+        # plans only: a progression (1, 0) to count n needs order n
+        cap = verify_mod.SCAN_ORDER_CAP
+        at_cap = CongruenceCheck("x", (2, 15), (1, 0), None, 5, cap)
+        assert Families((at_cap,)).plans == {(2, 15, 5): (cap, 1, 0)}
+        with pytest.raises(OverflowError, match=f"order {cap + 1}, above"):
+            Families((at_cap,), count=cap + 1)
+
+
 @pytest.fixture
 def family_builds(monkeypatch):
     """(s, t, modulus, order, step, residue) of every family build."""
