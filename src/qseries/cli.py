@@ -122,6 +122,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     except (QSyntaxError, EvalError, SeriesError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    sys.set_int_max_str_digits(0)  # input read: write every digit
     if args.format == "json":
         print(json.dumps({"expr": args.expr, "order": series.order,
                           "modulus": ring.modulus,
@@ -167,11 +168,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                   file=sys.stderr)
     if args.format == "csv":
         print("id,status,order,millis,mismatch_index")
+    sys.set_int_max_str_digits(0)  # write every digit; no user input is left
     passed = 0
     # items run in id order, so streaming keeps the output sorted
     for item in items:
-        rep = run_item(item, order=args.order, count=args.count,
-                       families=families)
+        rep = run_item(item, families=families)
         passed += rep.status == "pass"
         if args.format == "json":
             print(json.dumps(rep.as_dict()), flush=True)
@@ -193,7 +194,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return EXIT_BAD_INPUT
     check = CongruenceCheck("scan", (s, t), (p, r), None, m, count)
-    series, = Families((check,)).read(check, count)
+    series, = Families((check,)).read(check)
     residues = list(series.coeffs)
     all_zero = all(v == 0 for v in residues)
     if args.format == "json":
@@ -216,6 +217,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     command = {"expand": cmd_expand, "verify": cmd_verify,
                "scan": cmd_scan}[args.command]
+    cap = sys.get_int_max_str_digits()
     try:
         return command(args)
     except (OverflowError, MemoryError) as exc:
@@ -223,6 +225,8 @@ def main(argv: list[str] | None = None) -> int:
         reason = ": ".join(filter(None, (type(exc).__name__, str(exc))))
         print(f"error: order too large to compute ({reason})", file=sys.stderr)
         return EXIT_SCAN_BUDGET
+    finally:  # the cap on an int's digits that a command lifted to write
+        sys.set_int_max_str_digits(cap)
 
 
 def entry() -> None:

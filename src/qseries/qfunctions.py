@@ -27,7 +27,8 @@ from math import gcd, isqrt
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from .series import EXACT, CoefficientRing, TruncatedSeries, _quotient_packed
+from .series import (EXACT, CoefficientRing, TruncatedSeries, _quotient_packed,
+                     recurrences_win)
 
 
 def check_key(key: int | tuple[int, int],
@@ -255,9 +256,10 @@ def eta_quotient(exponents: Mapping[int | tuple[int, int], int], order: int,
     at a time, sparsest first (``factors`` included): f_k^e as e // 3
     Jacobi cubes f_k^3 (:func:`euler_cube`), which are sparser than f_k,
     and f_k^(e % 3).  The negative part is divided out one lacunary
-    factor at a time: f_k^-e by e // 3 quotient recurrences over the
-    cube, and then one over f_k when e % 3 == 1, or, when e % 3 == 2,
-    one more over the cube after one more factor f_k in the numerator.
+    factor D at a time, c quotient recurrences for D^-c, or past the
+    rule of ``**`` (:func:`series.recurrences_win`) the numerator
+    factor D ** -c: f_k^-e is cube^-(e // 3), then f_k^-1 when
+    e % 3 == 1, or one more cube over one more f_k when e % 3 == 2.
     Every divisor has constant term 1, so each quotient is the unique
     one: the result is the same series, to the same order, as the whole
     quotient, in Z and in every Z/m.
@@ -334,12 +336,18 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
         num.extend([(_terms(atom, key, order),
                      partial(atom, key, order, ring), power)] * count)
 
+    def divisor(atom: Callable, key, count: int) -> None:
+        if recurrences_win(count, _terms(atom, key, order), order):
+            den.append((atom, key, count))
+        else:  # by the route of __pow__, in about log2(count) products
+            numerator(atom, key, -count)
+
     for key, e in exponents.items():
         if isinstance(key, tuple):
             if e > 0:
                 numerator(ramanujan_theta, key, e)
             elif e < 0:
-                den.append((ramanujan_theta, key, -e))
+                divisor(ramanujan_theta, key, -e)
         elif e > 0:
             # c cubes one at a time take c products, each with a sparse
             # factor; the power cube^c takes about as many dense ones as
@@ -357,9 +365,9 @@ def _plan(exponents: Mapping, order: int, ring: CoefficientRing,
                 numerator(euler_f, key, 1)
                 cubes += 1
             elif rest:
-                den.append((euler_f, key, 1))
+                divisor(euler_f, key, 1)
             if cubes:
-                den.append((euler_cube, key, cubes))
+                divisor(euler_cube, key, cubes)
     num.sort(key=itemgetter(0))
     # f_j^-c is 1 to the order from j >= order on
     substituted = [(j, c) for j, c in subs.items() if j < order]

@@ -536,6 +536,14 @@ def _quotient_packed(num: Sequence[int], dens: Sequence[Sequence[int]],
     return _from_slots(_to_slots(g, k * w, row_top), w, top)[:n]
 
 
+def recurrences_win(count: int, nnz: int, n: int) -> bool:
+    """Whether count quotient recurrences by D, nnz of whose n terms are
+    nonzero (counted as 1 to n), at n*nnz multiply-adds each, cost no
+    more than powering D's inverse, at n*n per dense product over Z."""
+    squarings = count.bit_length() + bin(count).count("1") - 2
+    return (count - 1) * min(max(nnz, 1), n) <= squarings * n
+
+
 def _class_size(order: int, p: int, r: int) -> int:
     """How many coefficients p*n + r lie below order; raises unless p >= 1,
     0 <= r < p and there is at least one."""
@@ -772,7 +780,8 @@ class TruncatedSeries:
         For e > 0: e - 1 products by the base when the kernel's cost
         estimate says they beat binary squaring, as for a lacunary base.
         For e < 0: the inverse, then over Z -e - 1 more quotient
-        recurrences by a lacunary base, else the inverse raised to -e.
+        recurrences by a lacunary base (:func:`recurrences_win`), else
+        the inverse raised to -e.
         On a 2-core Xeon with CPython 3.11, euler_f(1, 3500) ** -12 takes
         0.24 s over Z by recurrences (2.3 s by powering the dense
         inverse), and 0.03 s in Z/11 by powering (0.1 s by recurrences).
@@ -791,15 +800,9 @@ class TruncatedSeries:
         by_base = _mul_costs(nnz, n, n, h, h, m)
         if e < 0:
             inv = self.invert()
-            # Over Z, for a base the kernel would not multiply by
-            # Kronecker substitution, a recurrence costs n*nnz
-            # multiply-adds and a product of dense powers is counted as
-            # n*n.  Timed on f_1 and Jacobi's cube at N = 600 to 3500 with
-            # -e up to 96, the recurrences were 1.4 to 30 times faster
-            # than powering the inverse, whose big integers make its
-            # products slow; in Z/m powering the inverse won.
+            # only over Z, for a base not multiplied by Kronecker substitution
             if (not m and min(by_base, key=by_base.get) is not _mul_kronecker
-                    and (-e - 1) * nnz < squarings * n):
+                    and recurrences_win(-e, nnz, n)):
                 for _ in range(-e - 1):
                     inv = inv.divide(self)
                 return inv

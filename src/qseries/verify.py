@@ -199,13 +199,14 @@ def _class_of(progressions: list[Progression]) -> tuple[int, int]:
 class Families:
     """The bipartition family series one run reads, each built once.
 
-    Planned from the run's checks (with the run's count and order): for
-    each family (s, t, modulus) its scans read, ``plans`` holds the
-    deepest order they need and the one class (step, residue) holding
-    every progression they read.  A plan past SCAN_ORDER_CAP, or a seed
-    order past the index range, raises OverflowError.  The first read of
-    a family builds that class to that order (:func:`family_series`);
-    each read slices its check's progressions off it.
+    Planned from the run's checks with the run's ``count`` and
+    ``order``, kept (None: each check's own): for each family (s, t,
+    modulus) its scans read, ``plans`` holds the deepest order they need
+    and the one class (step, residue) holding every progression they
+    read.  A plan past SCAN_ORDER_CAP, or a seed order past the index
+    range, raises OverflowError.  The first read of a family builds
+    that class to that order (:func:`family_series`); each read slices
+    its check's progressions off it.
 
     ``records`` is the run's memo of planned records, which every
     identity evaluated in the run shares (:class:`EvalContext`).
@@ -237,11 +238,13 @@ class Families:
             raise OverflowError(f"series order {seed} is past the index range")
         self._built: dict[tuple[int, int, int], TruncatedSeries] = {}
         self.records: dict = {}
+        self.count, self.order = count, order
 
-    def read(self, check: CongruenceCheck, count: int) -> list[TruncatedSeries]:
-        """B_{s,t}(a*n + b) mod modulus for n below count, one series per
-        progression (a, b) of the check; ValueError if the plan does not
-        hold them to that count."""
+    def read(self, check: CongruenceCheck) -> list[TruncatedSeries]:
+        """B_{s,t}(a*n + b) mod modulus for n below the run's count, one
+        series per progression (a, b) of the check; ValueError if the
+        plan does not hold them to that count."""
+        count = self.count if self.count is not None else check.count
         key = (*check.family, check.modulus)
         order, step, residue = self.plans.get(key, (0, 1, 0))
         progressions = _progressions(check)
@@ -263,10 +266,9 @@ class Families:
                 for a, b in progressions]
 
 
-def _pair(check: Check, families: Families, order: int | None = None,
-          count: int | None = None
+def _pair(check: Check, families: Families
           ) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """The two series a check claims equal.
+    """The two series a check claims equal, to the run's order or count.
 
     An identity gives its two sides, the left read on its class; a scan
     gives the left progression of its family, read from ``families``,
@@ -274,24 +276,23 @@ def _pair(check: Check, families: Families, order: int | None = None,
     n below the count.
     """
     if isinstance(check, IdentityCheck):
-        n = order if order is not None else check.order
+        n = families.order if families.order is not None else check.order
         ring = mod_ring(check.modulus) if check.modulus else EXACT
         return (run_pipeline(check.lhs, ring, n, check.step, check.residue,
                              families.records),
                 evaluate(parse_expr(check.rhs),
                          EvalContext(n, ring, records=families.records)))
-    cnt = count if count is not None else check.count
-    lhs, *rhs = families.read(check, cnt)
+    lhs, *rhs = families.read(check)
     return lhs, (rhs[0].scalar_mul(check.multiplier) if rhs
-                 else TruncatedSeries.zero(lhs.ring, cnt))
+                 else TruncatedSeries.zero(lhs.ring, lhs.order))
 
 
 def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
-             note: str | None = None, **settings) -> VerificationReport:
+             note: str | None, families: Families) -> VerificationReport:
     """Compare the series pair of each check in turn, coefficient by
     coefficient, and report the first mismatch.
 
-    ``settings`` (families, order, count) go to :func:`_pair`.  A pair
+    ``families`` is the run's store, read by :func:`_pair`.  A pair
     is compared on the order both sides reach; the reported order is the
     smallest such order, or the failing pair's.  ``perturb`` adds one to
     that coefficient of every right-hand side, so a sound check fails
@@ -305,7 +306,7 @@ def _compare(name: str, checks: tuple[Check, ...], perturb: int | None,
     mismatch = None
     for check in checks:
         try:
-            lhs, rhs = _pair(check, **settings)
+            lhs, rhs = _pair(check, families)
             n = min(lhs.order, rhs.order)
             if perturb is not None:
                 if perturb >= n:
@@ -343,9 +344,8 @@ def run_check(check: Check, order: int | None = None,
     """Run one check, an identity or a scan, on its own; ``order``
     applies to an identity, ``count`` to a scan."""
     _require_in_range(order=order, count=count, perturb=perturb)
-    return _compare(check.name, (check,), perturb,
-                    families=Families((check,), count, order), order=order,
-                    count=count)
+    return _compare(check.name, (check,), perturb, None,
+                    Families((check,), count, order))
 
 
 def run_item(item: RegistryItem, order: int | None = None,
@@ -356,15 +356,16 @@ def run_item(item: RegistryItem, order: int | None = None,
 
     A multi-link item passes only if every link passes; the reported
     order is the smallest order any link achieved, and a failure carries
-    the failing link's name.  Scans read ``families``, the run's family
-    store, planned with the same count and order; without one the item
-    plans its own.
+    the failing link's name.  Given ``families``, the run's store, the
+    item runs to its order and count, and passing either is a
+    ValueError; without one the item plans its own.
     """
     _require_in_range(order=order, count=count, perturb=perturb)
     if families is None:
         families = Families(item.checks, count, order)
-    return _compare(item.id, item.checks, perturb, item.note,
-                    families=families, order=order, count=count)
+    elif (order, count) != (None, None):
+        raise ValueError("order and count are the store's; pass neither")
+    return _compare(item.id, item.checks, perturb, item.note, families)
 
 
 # --------------------------------------------------------------------------
@@ -648,6 +649,5 @@ def run_registry(filter_text: str | None = None, order: int | None = None,
     families = Families((check for item in items for check in item.checks),
                         count, order)
     for item in items:
-        run.reports.append(run_item(item, order=order, count=count,
-                                    families=families))
+        run.reports.append(run_item(item, families=families))
     return run

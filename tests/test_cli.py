@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from qseries import cli
+from qseries import cli, qfunctions
 from qseries.cli import (
     EXIT_BAD_INPUT,
     EXIT_OK,
@@ -16,8 +16,9 @@ from qseries.cli import (
 )
 from qseries.qexpr import to_text
 from qseries.qfunctions import euler_f
-from qseries.series import mod_ring
-from qseries.verify import SCAN_ORDER_CAP, select_items
+from qseries.series import TruncatedSeries, mod_ring
+from qseries.verify import (SCAN_ORDER_CAP, IdentityCheck, RegistryItem,
+                            select_items)
 
 from test_qexpr import _random_tree
 
@@ -88,6 +89,82 @@ def test_huge_negative_power_is_squared(capsys):
     for k in range(1, 5):
         binom.append(binom[-1] * (e - k + 1) // k)
     assert capsys.readouterr().out.split() == [str(c) for c in binom]
+
+
+def _uncapped(convert, value):
+    """convert(value) with CPython's cap on the digits of an int read or
+    written as text lifted for this call alone."""
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return convert(value)
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
+def _written(fmt, out):
+    """The coefficients expand wrote in the format, as ints."""
+    if fmt == "json":
+        return _uncapped(json.loads, out)["coeffs"]
+    if fmt == "csv":
+        lines = out.splitlines()
+        assert lines[0] == "n,c_n"
+        return [_uncapped(int, line.split(",")[1]) for line in lines[1:]]
+    return [_uncapped(int, text) for text in out.split()]
+
+
+class TestLongIntegers:
+    """Every integer the CLI writes is written whole, past CPython's cap
+    on the digits of an int converted to text (4300 by default), while
+    the integers it reads stay under that cap."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_expand_writes_every_digit(self, capsys, fmt):
+        cap = sys.get_int_max_str_digits()
+        assert main(["expand", "2^20000", "--order", "1", "--format",
+                     fmt]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert _written(fmt, captured.out) == [2 ** 20000]
+        assert sys.get_int_max_str_digits() == cap
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_expand_writes_long_coefficients(self, capsys, fmt):
+        # (10^1100 + q)^4: the constant term has 4401 digits
+        assert main(["expand", "(10^1100+q)^4", "--order", "5", "--format",
+                     fmt]) == EXIT_OK
+        assert _written(fmt, capsys.readouterr().out) == [
+            10 ** 4400, 4 * 10 ** 3300, 6 * 10 ** 2200, 4 * 10 ** 1100, 1]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_verify_writes_a_long_mismatch(self, capsys, monkeypatch, fmt):
+        item = RegistryItem("long", "identity", "2^20000 = 0", ("t",),
+                            (IdentityCheck("long", "2^20000", "0", order=1),))
+        monkeypatch.setattr(cli, "select_items", lambda text: [item])
+        assert main(["verify", "--format", fmt]) == EXIT_VERIFY_FAILED
+        out = capsys.readouterr().out
+        if fmt == "json":
+            assert _uncapped(json.loads, out)["mismatch"] == {
+                "index": 0, "lhs": 2 ** 20000, "rhs": 0}
+        else:
+            assert f"'lhs': {_uncapped(str, 2 ** 20000)}, 'rhs': 0" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "2" * 5000, "--order", "1"],
+        ["expand", "f1", "--order", "1" * 5000],
+    ], ids=["literal", "order"])
+    def test_long_input_is_still_refused(self, capsys, argv):
+        # after a long write, in the same process
+        assert main(["expand", "2^20000", "--order", "1"]) == EXIT_OK
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("expr, options, message", [
@@ -313,19 +390,47 @@ def _expression(rng):
     return text
 
 
+# Bare atoms, each with constant term 1, so a unit in every ring.
+_ATOMS = [lambda rng: f"f{rng.randint(1, 40)}",
+          lambda rng: f"theta({rng.randint(1, 9)},{rng.randint(1, 9)})",
+          lambda rng: f"a(q^{rng.randint(1, 9)})",
+          lambda rng: rng.choice("ABC")]
+
+
+def _huge_power(rng):
+    """A bare atom to an exponent up to +-10**12, or an integer to a
+    power near 20,000, whose value has thousands of digits: never a huge
+    exponent on an integer, whose exact value alone would take
+    gigabytes."""
+    if rng.randrange(4):
+        e = rng.choice((-1, 1)) * rng.randint(1, 10 ** rng.randint(1, 12))
+        return f"{rng.choice(_ATOMS)(rng)}^{e}"
+    return f"{rng.randint(2, 9)}^{rng.randint(15000, 25000)}"
+
+
+_FORMAT = ("--format",
+           lambda rng: rng.choice(["table", "json", "csv", "xml"]))
+
+
+def _huge_power_argv(rng):
+    """expand of a huge power, over Z, a prime or a composite modulus."""
+    ring = rng.choice([[], ["--mod", "7"], ["--mod", "4"], ["--mod", "6"]])
+    return ["expand", "--order", str(rng.randint(1, 60)), *ring,
+            *_options(rng, [_FORMAT]), "--", _huge_power(rng)]
+
+
 def _fuzz_argv(rng):
-    fmt = ("--format", lambda rng: rng.choice(["table", "json", "csv", "xml"]))
     command = rng.choice(["expand", "verify", "scan"])
     if command == "expand":
         return ["expand", "--order", str(rng.randint(1, 60)),
                 *_options(rng, [("--order", _integer), ("--mod", _integer),
-                                fmt]), "--", _expression(rng)]
+                                _FORMAT]), "--", _expression(rng)]
     if command == "verify":
         return ["verify", "--filter", rng.choice(_FILTERS),
                 *_options(rng, [("--order", _integer),
                                 ("--count", _count),
                                 ("--filter", lambda rng: rng.choice(_FILTERS)),
-                                fmt])]
+                                _FORMAT])]
     # valid operands, one or two of them then redrawn from the kinds
     p = rng.randint(1, 60)
     operands = [rng.randint(2, 60), rng.randint(2, 60), p,
@@ -334,7 +439,7 @@ def _fuzz_argv(rng):
     for _ in range(rng.randrange(3)):
         i = rng.randrange(6)
         operands[i] = _count(rng) if i == 5 else _integer(rng)
-    return ["scan", *operands, *_options(rng, [fmt])]
+    return ["scan", *operands, *_options(rng, [_FORMAT])]
 
 
 def test_exit_code_fuzzer(capsys, monkeypatch):
@@ -345,7 +450,10 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
     # runs nothing past the index range, no family is built past the
     # scan cap, and verify exits 3 exactly when its filter matches nothing.
     # A count past the cap, on a command line that selects a scan and is
-    # not refused for bad input, exits 4 with no family built.
+    # not refused for bad input, exits 4 with no family built.  Sixty
+    # more lines expand a bare atom to an exponent up to +-10**12, or an
+    # integer to a power near 20,000, and none divides once per unit of
+    # an exponent or writes less than every digit.
     import qseries.verify as verify_mod
 
     def bounded(module, name, position, least, most):
@@ -359,6 +467,23 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
         monkeypatch.setattr(module, name, call)
 
     bounded(cli, "EvalContext", 0, 1, float("inf"))
+    # no command line divides once per unit of an exponent
+    divisions = []
+    divide = TruncatedSeries.divide
+
+    def counted(self, other):
+        divisions.append(1)
+        assert len(divisions) <= 200, "a division per unit of an exponent"
+        return divide(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "divide", counted)
+    packed = qfunctions._divide_packed
+
+    def bounded_packed(num, divisors, k):
+        assert sum(count for *_, count in divisors) <= 200, divisors
+        return packed(num, divisors, k)
+
+    monkeypatch.setattr(qfunctions, "_divide_packed", bounded_packed)
     bounded(verify_mod, "run_pipeline", 2, 1, sys.maxsize)
     bounded(verify_mod, "bipartition_series", 2, 1, SCAN_ORDER_CAP)
     built = []
@@ -368,10 +493,12 @@ def test_exit_code_fuzzer(capsys, monkeypatch):
     over_cap = set()
     monkeypatch.delenv("QSERIES_DEFAULT_ORDER", raising=False)
     rng = random.Random(20191022)
+    argvs = [_fuzz_argv(rng) for _ in range(400)]
+    argvs += [_huge_power_argv(rng) for _ in range(60)]
     seen = set()
-    for _ in range(400):
-        argv = _fuzz_argv(rng)
+    for argv in argvs:
         built.clear()
+        divisions.clear()
         try:
             code = main(argv)
         except SystemExit as exc:

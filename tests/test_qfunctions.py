@@ -1,10 +1,12 @@
+import json
 import math
+import os
 import random
 import re
 
 import pytest
 
-from qseries import qfunctions, series
+from qseries import cli, qfunctions, series
 from qseries.oracle import (
     bilateral_theta,
     count_bipartitions,
@@ -26,6 +28,7 @@ from qseries.qfunctions import (
     septic_ABC,
 )
 from qseries.series import EXACT, SeriesError, TruncatedSeries, mod_ring
+from qseries.verify import REGISTRY, run_item
 
 
 class TestEulerF:
@@ -545,6 +548,100 @@ class TestPackedDivision:
                 ramanujan_theta((k, 3 * k), n).coeffs[::k],
                 ramanujan_theta((2 * k, k), n).coeffs[::k]] + [
                 ramanujan_theta((k, k), n).coeffs[::k]] * 2, n
+
+
+_HUGE = 99999999999
+
+
+class TestDivisorRule:
+    """The planner divides by an atom counted c times only while c
+    quotient recurrences pass the rule of ``**``
+    (series.recurrences_win); past it the atom is the numerator factor
+    atom ** -c, powered in about log2(c) products."""
+
+    @pytest.mark.parametrize("text, key, m", [
+        ("f1", 1, 0), ("f2", 2, 0), ("theta(1,2)", (1, 2), 0),
+        ("f30", 30, 0), ("f1", 1, 4), ("theta(1,2)", (1, 2), 7),
+    ], ids=["f1", "f2", "theta12", "f30", "f1-mod4", "theta12-mod7"])
+    def test_huge_negative_power_of_an_atom(self, monkeypatch, capsys,
+                                            text, key, m):
+        # One division per unit of the exponent would run for hours, so
+        # the divisions are counted and stopped past a small bound, and a
+        # packed division is refused before its divisor list is built.
+        divisions = []
+        divide = TruncatedSeries.divide
+
+        def counted(self, other):
+            divisions.append(1)
+            assert len(divisions) <= 10, "a division per unit of |e|"
+            return divide(self, other)
+
+        packed = qfunctions._divide_packed
+
+        def bounded(num, divisors, k):
+            assert sum(count for *_, count in divisors) <= 10, divisors
+            return packed(num, divisors, k)
+
+        monkeypatch.setattr(TruncatedSeries, "divide", counted)
+        monkeypatch.setattr(qfunctions, "_divide_packed", bounded)
+        argv = ["expand", f"{text}^-{_HUGE}", "--order", "5"]
+        assert cli.main(argv + (["--mod", str(m)] if m else [])) == 0
+        ring = mod_ring(m) if m else EXACT
+        out = capsys.readouterr().out
+        got = TruncatedSeries(ring, [int(v) for v in out.split()])
+        atom = ramanujan_theta if isinstance(key, tuple) else euler_f
+        assert got * atom(key, 5, ring) ** _HUGE == TruncatedSeries.one(ring, 5)
+        if text == "f30":
+            assert got.coeffs == (1, 0, 0, 0, 0)
+
+    @pytest.mark.parametrize("ring", [EXACT, mod_ring(4), mod_ring(5)],
+                             ids=str)
+    def test_a_powered_divisor_gives_the_whole_quotient(self, monkeypatch,
+                                                        ring):
+        # Counts past the rule at order 40, packed (k >= 2) and not, on
+        # every class mod 3 as well as the whole series; over Z/5 the
+        # Euler products are rewritten first, so only thetas are left.
+        refused = []
+        rule = qfunctions.recurrences_win
+        monkeypatch.setattr(qfunctions, "recurrences_win", lambda *args: (
+            rule(*args) or refused.append(args)))
+        n = 40
+        for exponents in ({1: -300, 2: 5}, {2: -301, (1, 3): -90, 3: 2},
+                          {(2, 2): -200, (1, 1): -2, 1: -1}):
+            whole = _whole_quotient(exponents, n, [], ring)
+            assert eta_quotient(exponents, n, ring) == whole, exponents
+            for r in range(3):
+                assert eta_quotient(exponents, n, ring, (), 3, r) == \
+                    whole.extract(3, r), (exponents, r)
+        assert refused
+
+    def test_no_plan_of_the_registry_or_the_pool_powers_a_divisor(
+            self, monkeypatch, capsys):
+        # Every divisor of a registry run, of every non-scan item at order
+        # 600 and of every 8th recorded expand request passes the rule,
+        # so none of them becomes a negative power.
+        negative = []
+        power = TruncatedSeries.__pow__
+
+        def recorded(self, e):
+            if e < 0:
+                negative.append(e)
+            return power(self, e)
+
+        monkeypatch.setattr(TruncatedSeries, "__pow__", recorded)
+        assert cli.main(["verify"]) == 0
+        for item in REGISTRY.values():
+            if item.kind != "scan":
+                assert run_item(item, order=600).status == "pass", item.id
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "reference.json")
+        with open(path) as fh:
+            entries = json.load(fh)["expand"][::8]
+        for entry in entries:
+            assert cli.main(["expand", entry["expr"], "--order",
+                             str(entry["order"]), "--format", "json"]) == 0
+        capsys.readouterr()
+        assert negative == []
 
 
 def _times(a, b):

@@ -298,6 +298,31 @@ class TestPower:
         assert f1 ** e == want
         assert len(calls) == recurrences
 
+    @pytest.mark.parametrize("nnz, n", [(0, 1), (1, 1), (3, 1), (40, 600),
+                                        (600, 600), (10 ** 6, 10 ** 6)])
+    def test_rule_one_division_always_recurs(self, nnz, n):
+        # no squarings and no second recurrence: a tie, which recurs,
+        # whatever the divisor's terms, even where an estimate exceeds n
+        assert series.recurrences_win(1, nnz, n)
+
+    @pytest.mark.parametrize("count", [10 ** 12, 99999999999, 10 ** 400],
+                             ids=["1e12", "99999999999", "1e400"])
+    @pytest.mark.parametrize("nnz, n", [(0, 5), (1, 1), (3, 5), (40, 600),
+                                        (1, 10 ** 6)])
+    def test_rule_powers_a_huge_count(self, count, nnz, n):
+        # a divisor with no term counts its constant term, so a huge
+        # count is powered even where the estimate is 0 (f_30 at order 5)
+        assert not series.recurrences_win(count, nnz, n)
+
+    def test_rule_is_the_route_of_pow(self):
+        # the f_1^-12 and f_1^-200 routes above: 11 * 40 terms against
+        # 4 squarings times N recur, 199 * 40 against 9 are powered
+        assert series.recurrences_win(12, 40, 600)
+        assert not series.recurrences_win(200, 40, 600)
+        # at order 1 a divisor counted twice or three times still recurs
+        assert series.recurrences_win(2, 2, 1)
+        assert series.recurrences_win(3, 1, 1)
+
     @pytest.mark.parametrize("e", [-2, -3, -5, -12])
     def test_negative_power_of_a_dense_base_powers_the_inverse(
             self, monkeypatch, rng, e):

@@ -305,6 +305,26 @@ class TestBudget:
                                                 "past the index range$"):
             run_item(REGISTRY["eq-j1"], order=10 ** 30)
 
+    @pytest.mark.parametrize("setting", [
+        {"order": 10 ** 30}, {"order": 60}, {"count": 10 ** 6},
+        {"order": 60, "count": 10}], ids=["past-index", "order", "count",
+                                          "both"])
+    def test_a_store_owns_the_order_and_count(self, builds_nothing,
+                                              setting):
+        # The store's budget checks saw the order and count it was
+        # planned with, so an item run with it reads those and refuses
+        # any other, before anything is parsed or built.
+        store = Families(REGISTRY["eq-j1"].checks)
+        with pytest.raises(ValueError, match="^order and count are the "
+                                             "store's; pass neither$"):
+            run_item(REGISTRY["eq-j1"], families=store, **setting)
+
+    def test_an_item_runs_to_its_stores_order(self):
+        store = Families(REGISTRY["eq-j1"].checks, order=40)
+        assert run_item(REGISTRY["eq-j1"], families=store).order == 40
+        store = Families(REGISTRY["b215-b1"].checks, count=30)
+        assert run_item(REGISTRY["b215-b1"], families=store).order == 30
+
     def test_cap_boundary(self):
         # plans only: a progression (1, 0) to count n needs order n
         cap = verify_mod.SCAN_ORDER_CAP
@@ -352,8 +372,8 @@ class TestFamilyPlan:
     def test_reads_slice_one_build(self, family_builds):
         b3, m0 = REGISTRY["b215-b3"].checks + REGISTRY["thm-y-m0"].checks
         families = Families((b3, m0), count=10)
-        lhs, rhs = families.read(b3, 10)
-        again, _ = families.read(m0, 10)
+        lhs, rhs = families.read(b3)
+        again, _ = families.read(m0)
         whole = bipartition_series(2, 15, 27 * 9 + 23 + 1, mod_ring(5))
         assert list(lhs.coeffs) == list(whole.coeffs[23::27][:10])
         assert list(rhs.coeffs) == list(again.coeffs) == \
@@ -366,20 +386,19 @@ class TestFamilyPlan:
             assert run_registry("b215", order=60, count=40).all_passed
         assert family_builds == [(2, 15, 5, 27 * 39 + 23 + 1, 3, 2)] * 2
 
-    @pytest.mark.parametrize("check, count, family", [
+    @pytest.mark.parametrize("check, family", [
         # a family with no plan
-        (REGISTRY["b2711-m4"].checks[0], 10, "B_{27,11} mod 11"),
+        (REGISTRY["b2711-m4"].checks[0], "B_{27,11} mod 11"),
         # a progression off the planned class 8 mod 9
-        (CongruenceCheck("off-class", (2, 15), (9, 7), None, 5, 10), 10,
+        (CongruenceCheck("off-class", (2, 15), (9, 7), None, 5, 10),
          "B_{2,15} mod 5"),
-        # a count past the planned order
-        (REGISTRY["b215-b1"].checks[0], 11, "B_{2,15} mod 5"),
+        # a count past the planned order: the store reads each check's own
+        (REGISTRY["b215-b1"].checks[0].replace(count=1001), "B_{2,15} mod 5"),
     ], ids=["unplanned-family", "off-class", "past-order"])
-    def test_unplanned_read_is_refused(self, family_builds, check, count,
-                                       family):
-        families = Families(REGISTRY["b215-b1"].checks, count=10)
+    def test_unplanned_read_is_refused(self, family_builds, check, family):
+        families = Families(REGISTRY["b215-b1"].checks)
         with pytest.raises(ValueError, match=re.escape(family)):
-            families.read(check, count)
+            families.read(check)
         assert family_builds == []
 
 
