@@ -30,7 +30,6 @@ always written with its argument.
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from typing import Iterator, NamedTuple, Union
 
 from . import qfunctions
@@ -476,11 +475,13 @@ class EvalContext(Record):
     the class of coefficients kept: residue, residue + step, ... below
     the order (by default all of them).
 
-    ``records``, when given, is a memo of planned records, owned by the
-    caller (a verification run): a record with no sum among its factors
-    is planned once per exponent map, order, ring and class, and read
-    from it after that.  Every context derived during the evaluation
-    shares it.  It is neither compared, hashed nor shown.
+    ``records`` is the memo of planned records, owned by the caller (a
+    verification run), or None: each :func:`evaluate` call then makes
+    its own, for as long as the call lasts.  A record with no sum among
+    its factors is planned once per exponent map, order, ring and class,
+    and the septic A, B, C once per order and ring.  Every context
+    derived during the evaluation shares it.  It is neither compared,
+    hashed nor shown.
     """
 
     __slots__ = ("order", "ring", "step", "residue", "records")
@@ -509,14 +510,6 @@ class EvalContext(Record):
 
 class _EmptyClass(Exception):
     """A class evaluation whose class has no coefficient below the order."""
-
-
-@lru_cache(maxsize=16)
-def _septic_cached(order: int, modulus: int) -> dict[str, TruncatedSeries]:
-    """A, B and C by letter, to the order, over Z or Z/modulus."""
-    ring = CoefficientRing(modulus)
-    return dict(zip(qfunctions.SEPTIC_THETA,
-                    qfunctions.septic_ABC(order, ring)))
 
 
 def _atom(node: QExpr) -> int | tuple[int, int] | QExpr:
@@ -596,16 +589,15 @@ class _Quotient(Record):
 
     def plain(self, ring: CoefficientRing) -> TruncatedSeries:
         """The plain part c * q^a * prod(rest) as a series."""
-        return self.replace(atoms={}).series(ring)
+        return self.replace(atoms={}).series(ring, {})  # nothing to keep
 
-    def series(self, ring: CoefficientRing, step: int = 1,
-               residue: int = 0, records: dict | None = None
-               ) -> TruncatedSeries:
+    def series(self, ring: CoefficientRing, records: dict, step: int = 1,
+               residue: int = 0) -> TruncatedSeries:
         """The value, or its coefficients residue, residue + step, ...,
         by the planner :func:`qfunctions.eta_quotient`.  Past q^a the
         class is the planner's class residue - a (mod step), after the
         -d zeros the class has below q^a.  With no rest, the planned
-        series is kept in, or read from, ``records`` (see
+        series is kept in, or read from, the memo ``records`` (see
         :class:`EvalContext`)."""
         size = (self.order - residue + step - 1) // step
         if size < 1:
@@ -614,20 +606,20 @@ class _Quotient(Record):
         n = self.order - self.a
         if n <= r:
             return TruncatedSeries.zero(ring, size)
-        if records is None or self.rest:
-            result = self._plan(n, ring, step, r)
+        if self.rest:
+            result = self._plan(n, ring, step, r, records)
         else:
             key = (frozenset((k, e) for k, e in self.atoms.items() if e),
                    n, ring, step, r)
             result = records.get(key)
             if result is None:
-                result = records[key] = self._plan(n, ring, step, r)
+                result = records[key] = self._plan(n, ring, step, r, records)
         if self.c != 1:
             result = result.scalar_mul(self.c)
         return result.shift(-d) if d else result
 
-    def _plan(self, n: int, ring: CoefficientRing, step: int,
-              r: int) -> TruncatedSeries:
+    def _plan(self, n: int, ring: CoefficientRing, step: int, r: int,
+              records: dict) -> TruncatedSeries:
         """prod(rest) * prod atom^e to order n, on the class (step, r)."""
         factors = list(self.rest)
         exponents: Counter = Counter()
@@ -638,9 +630,13 @@ class _Quotient(Record):
                 factors.append(qfunctions.borwein_a(key.k, self.order,
                                                     ring) ** e)
             elif e > 0:  # a septic quotient keeps its own value: the
-                # letter's at order ceil(order / k), with q^k for q
-                septic = _septic_cached(-(-self.order // key.k), ring.modulus)
-                factors.append(septic[key.letter].substitute_power(
+                # letter's at order ceil(order / k), with q^k for q, from
+                # the triple the memo keeps under that order and the ring
+                inner = (-(-self.order // key.k), ring)
+                if inner not in records:
+                    records[inner] = qfunctions.septic_ABC(*inner)
+                septic = records[inner]["ABC".index(key.letter)]
+                factors.append(septic.substitute_power(
                     key.k, cap=self.order) ** e)
             elif e:  # and in the denominator is theta(ka, kb) / f_2k
                 a, b = qfunctions.SEPTIC_THETA[key.letter]
@@ -689,10 +685,11 @@ def _product(root: QExpr, ctx: EvalContext) -> TruncatedSeries:
             values.append(_Quotient(1, 1, n) if isinstance(node, QVar)
                           else _Quotient(node.value, 0, n))
         elif isinstance(node, (Add, Sub)):
-            values.append(_Quotient(1, 0, n, (evaluate(node, whole),)))
+            value = evaluate(node, whole)  # at the order it reached
+            values.append(_Quotient(1, 0, value.order, (value,)))
         else:
             values.append(_Quotient(1, 0, n, atoms={_atom(node): 1}))
-    return values[0].series(ring, ctx.step, ctx.residue, ctx.records)
+    return values[0].series(ring, ctx.records, ctx.step, ctx.residue)
 
 
 def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
@@ -705,8 +702,10 @@ def evaluate(e: QExpr, ctx: EvalContext) -> TruncatedSeries:
     achieved.  With a step above 1 the result is the context's class:
     the same coefficients, order and errors as evaluate(e, whole
     context).extract(step, residue), computing only that class where it
-    can.
+    can.  With no memo in the context, the call makes its own.
     """
+    if ctx.records is None:
+        ctx = ctx.replace(records={})
     total = None
     try:
         for term, minus in _terms(e):

@@ -537,13 +537,19 @@ class TestClassEvaluation:
     @pytest.mark.parametrize("ring", CLASS_RINGS, ids=str)
     def test_every_class_matches_extract(self, ring):
         rng = random.Random(1618 + ring.modulus)
-        outcomes = Counter()
+        cases = []
         for step in range(1, 31):
             tree = _random_subtree(rng, rng.randint(1, 4))
             for _ in range(rng.randint(0, 2)):
                 other = _random_subtree(rng, rng.randint(1, 3))
                 tree = (Add if rng.random() < 0.5 else Sub)(tree, other)
-            whole = EvalContext(rng.randint(1, 70), ring)
+            cases.append((tree, EvalContext(rng.randint(1, 70), ring), step))
+        # a sum inside a product, whose division lowers its order and the
+        # product's to 3: the product knows no coefficient of class (7, 3)
+        cases.append((parse_expr("(q^4/q^4 - f8)*f1"), EvalContext(7, ring),
+                      7))
+        outcomes = Counter()
+        for tree, whole, step in cases:
             want_whole = _class_outcome(lambda: evaluate(tree, whole))
             for residue in range(step):
                 ctx = whole.replace(step=step, residue=residue)

@@ -1,7 +1,7 @@
 import json
 import os
 import re
-import sys
+import tracemalloc
 
 import pytest
 
@@ -526,24 +526,20 @@ class TestRunRegistry:
 @pytest.fixture
 def plans(monkeypatch):
     """The atoms, order, ring and class of every record with no rest
-    factor that a syntax-tree record asks the planner for; the planner's
-    own inner calls and those of septic_ABC are not counted.  The atoms
-    are the record's own: the planner's exponents omit its factors, such
-    as a(q) and a(q^3)."""
+    factor that a syntax-tree evaluation plans; the planner's calls from
+    septic_ABC plan no record and are not counted.  The atoms are the
+    record's own: the planner's exponents omit its factors, such as a(q)
+    and a(q^3)."""
     keys = []
-    eta_quotient = qfunctions.eta_quotient
-    record_plan = qexpr._Quotient._plan.__code__
+    plan = qexpr._Quotient._plan
 
-    def planner(exponents, order, ring, factors=(), step=1, residue=0):
-        caller = sys._getframe(1)
-        if (caller.f_code is record_plan
-                and not caller.f_locals["self"].rest):
-            atoms = caller.f_locals["self"].atoms
-            keys.append((frozenset((k, e) for k, e in atoms.items() if e),
-                         order, ring, step, residue))
-        return eta_quotient(exponents, order, ring, factors, step, residue)
+    def record_plan(record, n, ring, step, r, records):
+        if not record.rest:
+            keys.append((frozenset((k, e) for k, e in record.atoms.items()
+                                   if e), n, ring, step, r))
+        return plan(record, n, ring, step, r, records)
 
-    monkeypatch.setattr(qfunctions, "eta_quotient", planner)
+    monkeypatch.setattr(qexpr._Quotient, "_plan", record_plan)
     return keys
 
 
@@ -588,19 +584,51 @@ class TestRecordMemo:
         a, b = Families(()), Families(())
         assert a.records == {} and a.records is not b.records
 
-    def test_expand_and_library_calls_keep_no_memo(self, monkeypatch, capsys):
-        memos = []
-        series = qexpr._Quotient.series
 
-        def record_series(record, ring, step=1, residue=0, records=None):
-            memos.append(records)
-            return series(record, ring, step, residue, records)
+@pytest.fixture
+def septic_builds(monkeypatch):
+    """The (order, ring) of every septic A, B, C triple built."""
+    builds = []
+    septic_ABC = qfunctions.septic_ABC
 
-        monkeypatch.setattr(qexpr._Quotient, "series", record_series)
-        assert main(["expand", "f2*f15/f1^2 + A*B^2/C^3", "--order", "40",
-                     "--mod", "5"]) == 0
-        evaluate_text("f1^4/f7^4 + 8*q", 40, mod_ring(7))
-        assert memos and memos == [None] * len(memos)
+    def build(order, ring=EXACT):
+        builds.append((order, ring))
+        return septic_ABC(order, ring)
+
+    monkeypatch.setattr(qfunctions, "septic_ABC", build)
+    return builds
+
+
+class TestSepticMemo:
+    """The septic triple lives in the memo of its run or its call: a
+    run or a call builds each one once, and none outlives it."""
+
+    def test_a_verify_run_builds_each_triple_once(self, septic_builds,
+                                                   capsys):
+        assert main(["verify"]) == 0
+        assert sorted(septic_builds, key=lambda build: build[0]) == [
+            (43, EXACT), (300, EXACT)]
+
+    def test_one_expand_builds_its_triple_once(self, septic_builds, capsys):
+        lhs = REGISTRY["eq-8p"].checks[0].lhs
+        assert main(["expand", lhs, "--order", "300"]) == 0
+        assert septic_builds == [(300, EXACT)]
+
+    def test_each_call_builds_its_own(self, septic_builds):
+        for _ in range(2):
+            evaluate_text("A*B", 300)
+        assert septic_builds == [(300, EXACT)] * 2
+
+    def test_nothing_stays_allocated_after_a_call(self):
+        evaluate_text("A - B", 50)  # anything loaded once is loaded now
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            evaluate_text("A - B", 1000)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 16 * 1024
 
 
 class TestCrossChecks:
